@@ -5,10 +5,16 @@ distributions, and boosting gradients all accumulate w_{y_i} instead of 1.
 Split search is exact over midpoints of sorted unique feature values; equal
 scores resolve to the lowest feature index, then the lowest threshold, so
 training is fully deterministic given the seed.
+
+All three families grow trees with one engine (``_grow``): each feature is
+sorted once per tree and splits partition the sorted row lists stably (the
+presort of SLIQ and CART); one kernel scores a block of features per pass
+for the Gini/entropy and the Newton criterion.  Trees are flat node arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -20,22 +26,17 @@ import numpy as np
 from .losses import one_hot, softmax
 
 __all__ = [
-    "TreeParams",
-    "ForestParams",
-    "GbtParams",
-    "TreeNode",
-    "DecisionTreeModel",
-    "RandomForestModel",
-    "GradientBoostedModel",
-    "dt_fit",
-    "rf_fit",
-    "gbt_fit",
-    "save_model",
-    "load_model",
+    "TreeParams", "ForestParams", "GbtParams", "Tree", "DecisionTreeModel", "RandomForestModel",
+    "GradientBoostedModel", "dt_fit", "rf_fit", "gbt_fit", "save_model", "load_model",
 ]
 
 _HESSIAN_FLOOR = 1e-16
 _CRITERIA = ("gini", "entropy")
+# Split search scores features in blocks of at most this many features x node
+# rows x per-row statistics, which bounds its temporaries: a node of 600
+# rows with 8 features and 12 classes takes one pass, and a node too large for
+# two features per block is searched one feature at a time.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,44 +107,71 @@ class GbtParams:
             raise ValueError("regularization terms must be non-negative")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (scores).
+class Tree:
+    """A fitted tree as flat node arrays, seen from node ``node`` (0 is the root).
 
-    Leaf scores are a class-probability vector for classification trees and
-    a single-element raw-margin array for boosted regression trees.
+    Node i sends rows with ``x[:, feature[i]] <= threshold[i]`` to
+    ``children_left[i]`` and the rest to ``children_right[i]``.  A leaf has
+    ``feature[i] == -1`` and holds its scores in ``value[i]``: a class
+    probability vector in classification trees, a single raw margin in
+    boosted regression trees (internal nodes hold zeros).  ``is_leaf``,
+    ``left`` and ``right`` walk the nodes one at a time; the views they
+    return share these arrays.
     """
 
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    scores: np.ndarray | None = None
+    def __init__(self, feature, threshold, children_left, children_right, value, node: int = 0):
+        self.feature = np.asarray(feature, dtype=np.intp)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.children_left = np.asarray(children_left, dtype=np.intp)
+        self.children_right = np.asarray(children_right, dtype=np.intp)
+        self.value = np.asarray(value, dtype=np.float64)
+        self.node = int(node)
 
     @property
     def is_leaf(self) -> bool:
-        return self.scores is not None
+        return bool(self.feature[self.node] < 0)
+
+    @property
+    def left(self) -> "Tree":
+        return Tree(self.feature, self.threshold, self.children_left, self.children_right, self.value,
+                    self.children_left[self.node])
+
+    @property
+    def right(self) -> "Tree":
+        return Tree(self.feature, self.threshold, self.children_left, self.children_right, self.value,
+                    self.children_right[self.node])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Leaf id of every row, walking all rows down one level per step."""
+        leaf = np.full(x.shape[0], self.node, dtype=np.intp)
+        rows = np.arange(x.shape[0])
+        while rows.size:
+            node = leaf[rows]
+            f = self.feature[node]
+            inner = f >= 0
+            rows, node, f = rows[inner], node[inner], f[inner]
+            go_left = x[rows, f] <= self.threshold[node]
+            leaf[rows] = np.where(go_left, self.children_left[node], self.children_right[node])
+        return leaf
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.value[self.apply(x)]
 
     def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"scores": [float(s) for s in np.atleast_1d(self.scores)]}
         return {
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.children_left.tolist(),
+            "right": self.children_right.tolist(),
+            "value": self.value.tolist(),
         }
 
     @staticmethod
-    def from_dict(obj: dict) -> "TreeNode":
-        if "scores" in obj:
-            return TreeNode(scores=np.asarray(obj["scores"], dtype=np.float64))
-        return TreeNode(
-            feature=int(obj["feature"]),
-            threshold=float(obj["threshold"]),
-            left=TreeNode.from_dict(obj["left"]),
-            right=TreeNode.from_dict(obj["right"]),
-        )
+    def from_dict(obj: dict) -> "Tree":
+        if not isinstance(obj.get("feature"), list):
+            raise ValueError("tree uses the nested node layout ({feature, threshold, left, right} / {scores} "
+                             "objects), which this version no longer reads; refit and save the model again")
+        return Tree(obj["feature"], obj["threshold"], obj["left"], obj["right"], obj["value"])
 
 
 def _weight_vector(w, n_classes: int) -> np.ndarray:
@@ -153,99 +181,178 @@ def _weight_vector(w, n_classes: int) -> np.ndarray:
     return wv
 
 
-def _impurity_rows(mass: np.ndarray, totals: np.ndarray, criterion: str) -> np.ndarray:
-    """Impurity of each row of a (c, K) class-mass matrix."""
-    p = mass / totals[:, None]
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, adding in the order of numpy's pairwise summation of
+    one contiguous row: bitwise equal to summing the same values stored
+    contiguously along a last axis, but as a few vector adds instead of one
+    short reduction per row (numpy's own order depends on memory layout)."""
+    n = a.shape[0]
+    if a.ndim == 1:
+        return a.sum()
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _row_sum(a[:half]) + _row_sum(a[half:])
+    if n < 8:
+        return functools.reduce(np.add, a, -0.0)
+    r = a[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + a[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    return functools.reduce(np.add, a[n - n % 8:], r[0] + r[1])
+
+
+def _impurity(p: np.ndarray, criterion: str) -> np.ndarray:
+    """Impurity of the class-probability vectors along axis 0 of ``p`` (which it may overwrite)."""
     if criterion == "gini":
-        return 1.0 - np.sum(p * p, axis=1)
+        return 1.0 - _row_sum(np.multiply(p, p, out=p))
     out = np.zeros_like(p)
     nz = p > 0
     out[nz] = p[nz] * np.log(p[nz])
-    return -out.sum(axis=1)
+    return -_row_sum(out)
 
 
-def _build_classification_tree(
-    x: np.ndarray,
-    masses: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    params,
-    n_sub_features: int,
-    rng: np.random.Generator | None,
-    parent_probs: np.ndarray | None,
-) -> TreeNode:
-    node_masses = masses[idx]
-    total = node_masses.sum(axis=0)
-    m_total = total.sum()
-    if m_total <= 0.0:
-        # only reachable with pathological weights; inherit the parent view
-        return TreeNode(scores=parent_probs.copy())
-    probs = total / m_total
-    impurity = _impurity_rows(total[None, :], np.array([m_total]), params.criterion)[0]
-    if depth >= params.max_depth or idx.size < params.min_samples_split or impurity <= 0.0:
-        return TreeNode(scores=probs)
+class _ClassMass:
+    """Gini/entropy criterion; per-row statistics are weighted one-hot class masses."""
 
-    d = x.shape[1]
-    if n_sub_features < d:
-        feats = np.sort(rng.choice(d, size=n_sub_features, replace=False))
+    def __init__(self, masses: np.ndarray, criterion: str):
+        self.masses = masses
+        self.cols = np.ascontiguousarray(masses.T)
+        self.criterion = criterion
+
+    def node(self, rows: np.ndarray, parent_value):
+        """(statistic totals, leaf value, may split) of the node holding ``rows``."""
+        total = self.masses[rows].sum(axis=0)
+        m_total = total.sum()
+        if m_total <= 0.0:
+            # only reachable with pathological weights; inherit the parent view
+            if parent_value is None:
+                raise ValueError("the training rows have zero total class weight")
+            return total, parent_value, False
+        return total, total / m_total, _impurity(total / m_total, self.criterion) > 0.0
+
+    def scores(self, sides: np.ndarray) -> np.ndarray:
+        """Score of each cut from the (K, 2, ...) class masses left and right of it (overwritten)."""
+        mass = _row_sum(sides)
+        score = mass * _impurity(np.divide(sides, mass, out=sides), self.criterion)
+        return score[0] + score[1]
+
+
+class _Newton:
+    """Newton-gain criterion on the per-row (g, h) columns; leaves hold -soft(G, alpha)/(H + lambda)."""
+
+    def __init__(self, g: np.ndarray, h: np.ndarray, params: GbtParams):
+        self.cols = np.vstack((g, h))
+        self.params = params
+
+    def node(self, rows: np.ndarray, parent_value):
+        g_sum = float(self.cols[0, rows].sum())
+        h_sum = float(self.cols[1, rows].sum())
+        return np.array([g_sum, h_sum]), np.array([_newton_leaf(g_sum, h_sum, self.params)]), True
+
+    def scores(self, sides: np.ndarray) -> np.ndarray:
+        """Score of each cut from the (2, 2, ...) (g, h) sums left and right of it."""
+        g, h = sides
+        score = (g * g) / np.maximum(h + self.params.reg_lambda, _HESSIAN_FLOOR)
+        return -score[0] - score[1]
+
+
+def _newton_leaf(g_sum: float, h_sum: float, params: GbtParams) -> float:
+    alpha = params.reg_alpha
+    if g_sum > alpha:
+        num = g_sum - alpha
+    elif g_sum < -alpha:
+        num = g_sum + alpha
     else:
-        feats = np.arange(d)
-
-    min_leaf = params.min_samples_leaf
-    best_score = np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    for f in feats:
-        v = x[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cut = np.flatnonzero(vs[1:] > vs[:-1])
-        if min_leaf > 1:
-            left_n = cut + 1
-            cut = cut[(left_n >= min_leaf) & (idx.size - left_n >= min_leaf)]
-        if cut.size == 0:
-            continue
-        cum = np.cumsum(node_masses[order], axis=0)
-        left = cum[cut]
-        right = total[None, :] - left
-        m_left = left.sum(axis=1)
-        m_right = right.sum(axis=1)
-        score = m_left * _impurity_rows(left, m_left, params.criterion) + m_right * _impurity_rows(
-            right, m_right, params.criterion
-        )
-        i = int(np.argmin(score))  # first occurrence -> lowest threshold
-        if score[i] < best_score:
-            best_score = float(score[i])
-            best_feature = int(f)
-            best_threshold = 0.5 * (vs[cut[i]] + vs[cut[i] + 1])
-    if best_feature < 0:
-        return TreeNode(scores=probs)
-
-    go_left = x[idx, best_feature] <= best_threshold
-    left_node = _build_classification_tree(
-        x, masses, idx[go_left], depth + 1, params, n_sub_features, rng, probs
-    )
-    right_node = _build_classification_tree(
-        x, masses, idx[~go_left], depth + 1, params, n_sub_features, rng, probs
-    )
-    return TreeNode(feature=best_feature, threshold=float(best_threshold), left=left_node, right=right_node)
+        return 0.0
+    return -num / max(h_sum + params.reg_lambda, _HESSIAN_FLOOR)
 
 
-def _apply_tree(root: TreeNode, x: np.ndarray, width: int) -> np.ndarray:
-    """Leaf scores for every row, via index-partitioned traversal."""
-    out = np.empty((x.shape[0], width))
-    stack = [(root, np.arange(x.shape[0]))]
+def _draw_features(rng, d: int, k: int) -> np.ndarray:
+    """``k`` of ``d`` feature ids, ascending; all of them, with no draw, when k == d."""
+    return np.sort(rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
+
+
+def _presort(x: np.ndarray) -> np.ndarray:
+    """(d, n) row ids; row f lists the rows sorted stably by feature f."""
+    return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+
+
+def _best_split(x, ordered, crit, total, feats, min_leaf):
+    """(feature, threshold) of the lowest-scoring cut over ``feats``, or None.
+
+    A cut after sorted position i sends the first i + 1 rows left.  A
+    feature whose best cut scores NaN is skipped, as is one with no cut
+    between distinct values that leaves ``min_leaf`` rows on each side.
+    """
+    m = ordered.shape[1]
+    width = crit.cols.shape[0]
+    block = max(1, _BLOCK_ELEMENTS // (m * width))
+    best_score, best = np.inf, None
+    for start in range(0, feats.size, block):
+        fb = feats[start:start + block]
+        rows = ordered[fb]
+        sides = np.empty((width, 2, fb.size, m))  # statistic sums left and right of each cut
+        np.cumsum(crit.cols[:, rows], axis=-1, out=sides[:, 0])
+        np.subtract(total[:, None, None], sides[:, 0], out=sides[:, 1])
+        vs = x[rows, fb[:, None]]
+        valid = vs[:, 1:] > vs[:, :-1]
+        valid[:, :min_leaf - 1] = False  # fewer than min_leaf rows on the left
+        valid[:, m - min_leaf:] = False  # ... or on the right
+        score = np.where(valid, crit.scores(sides[..., :-1]), np.inf)
+        for b, s in enumerate(score.min(axis=1).tolist()):  # NaN never wins
+            if s < best_score:
+                i = int(score[b].argmin())  # first occurrence -> lowest threshold
+                best_score, best = s, (int(fb[b]), float(0.5 * (vs[b, i] + vs[b, i + 1])))
+    return best
+
+
+def _grow(x, ordered, crit, pick_features, max_depth: int, min_split: int = 2, min_leaf: int = 1):
+    """Grow one tree over the rows of ``x``, depth first, left before right.
+
+    ``ordered`` comes from ``_presort(x)``.  ``pick_features()`` returns the
+    ascending feature ids to search at each node that may split.  Returns
+    the tree, the leaf id of every row, and the statistic totals of each
+    leaf in ascending leaf-id order.
+    """
+    n, d = x.shape
+    goes_left = np.zeros(n, dtype=bool)
+    leaf_of = np.zeros(n, dtype=np.intp)
+    nodes = [[-1, 0.0, -1, -1]]  # feature, threshold, left child, right child
+    leaves = {}  # node -> (value, totals)
+    stack = [(0, 0, np.arange(n), ordered, None)]  # node, depth, rows ascending, rows per feature, parent value
     while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
+        node, depth, idx, ordered, parent = stack.pop()
+        total, value, may_split = crit.node(idx, parent)
+        split = None
+        if may_split and depth < max_depth and idx.size >= min_split:
+            split = _best_split(x, ordered, crit, total, pick_features(), min_leaf)
+        if split is None:
+            leaves[node] = value, total
+            leaf_of[idx] = node
             continue
-        if node.is_leaf:
-            out[idx] = node.scores
-            continue
-        go_left = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
+        nodes[node] = [*split, len(nodes), len(nodes) + 1]
+        nodes += [[-1, 0.0, -1, -1], [-1, 0.0, -1, -1]]
+        go_left = x[idx, split[0]] <= split[1]
+        goes_left[idx] = go_left
+        to_left = goes_left[ordered]
+        stack.append((len(nodes) - 1, depth + 1, idx[~go_left], ordered[~to_left].reshape(d, -1), value))
+        stack.append((len(nodes) - 2, depth + 1, idx[go_left], ordered[to_left].reshape(d, -1), value))
+    ids = sorted(leaves)
+    values = np.zeros((len(nodes), leaves[ids[0]][0].size))
+    values[ids] = [leaves[i][0] for i in ids]
+    return Tree(*zip(*nodes), values), leaf_of, np.array([leaves[i][1] for i in ids])
+
+
+def _class_tree(x, y, wv, n_classes, params: TreeParams, pick_features) -> Tree:
+    crit = _ClassMass(one_hot(y, n_classes) * wv[y][:, None], params.criterion)
+    return _grow(x, _presort(x), crit, pick_features, params.max_depth,
+                 params.min_samples_split, params.min_samples_leaf)[0]
+
+
+def _model_dict(model, **trees) -> dict:
+    """JSON form of a tree model: the shared header plus its trees."""
+    return {"family": model.family, "n_classes": model.n_classes, "params": asdict(model.params), **trees}
 
 
 class DecisionTreeModel:
@@ -253,34 +360,24 @@ class DecisionTreeModel:
 
     family = "dt"
 
-    def __init__(self, root: TreeNode, params: TreeParams, n_classes: int, train_seconds: float = 0.0):
+    def __init__(self, root: Tree, params: TreeParams, n_classes: int, train_seconds: float = 0.0):
         self.root = root
         self.params = params
         self.n_classes = n_classes
         self.train_seconds = train_seconds
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return _apply_tree(self.root, x, self.n_classes)
+        return self.root.predict(np.asarray(x, dtype=np.float64))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_classes": self.n_classes,
-            "params": asdict(self.params),
-            "tree": self.root.to_dict(),
-        }
+        return _model_dict(self, tree=self.root.to_dict())
 
     @staticmethod
     def from_dict(obj: dict) -> "DecisionTreeModel":
-        return DecisionTreeModel(
-            root=TreeNode.from_dict(obj["tree"]),
-            params=TreeParams(**obj["params"]),
-            n_classes=int(obj["n_classes"]),
-        )
+        return DecisionTreeModel(Tree.from_dict(obj["tree"]), TreeParams(**obj["params"]), int(obj["n_classes"]))
 
 
 def dt_fit(x, y, weights, params: TreeParams | None = None, n_classes: int | None = None, seed: int = 0) -> DecisionTreeModel:
@@ -294,10 +391,8 @@ def dt_fit(x, y, weights, params: TreeParams | None = None, n_classes: int | Non
         n_classes = int(y.max()) + 1
     wv = _weight_vector(weights, n_classes)
     t0 = time.perf_counter()
-    masses = one_hot(y, n_classes) * wv[y][:, None]
-    root = _build_classification_tree(
-        x, masses, np.arange(x.shape[0]), 0, params, x.shape[1], None, None
-    )
+    feats = np.arange(x.shape[1])
+    root = _class_tree(x, y, wv, n_classes, params, lambda: feats)
     return DecisionTreeModel(root, params, n_classes, train_seconds=time.perf_counter() - t0)
 
 
@@ -323,33 +418,27 @@ class RandomForestModel:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         acc = np.zeros((x.shape[0], self.n_classes))
-        for root in self.trees:
-            acc += _apply_tree(root, x, self.n_classes)
+        for tree in self.trees:
+            acc += tree.predict(x)
         return acc / len(self.trees)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_classes": self.n_classes,
-            "params": asdict(self.params),
-            "trees": [t.to_dict() for t in self.trees],
-        }
+        return _model_dict(self, trees=[t.to_dict() for t in self.trees])
 
     @staticmethod
     def from_dict(obj: dict) -> "RandomForestModel":
         return RandomForestModel(
-            trees=[TreeNode.from_dict(t) for t in obj["trees"]],
-            params=ForestParams(**obj["params"]),
-            n_classes=int(obj["n_classes"]),
+            [Tree.from_dict(t) for t in obj["trees"]], ForestParams(**obj["params"]), int(obj["n_classes"])
         )
 
 
 def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | None = None, seed: int = 0) -> RandomForestModel:
     """Fit a random forest.  Per-tree seeds derive deterministically from
-    (seed, tree index) so refits replay exactly."""
+    (seed, tree index) so refits replay exactly; each tree draws its split
+    features node by node, depth first, left before right."""
     params = params or ForestParams()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -367,11 +456,8 @@ def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | N
     for child in children:
         rng = np.random.default_rng(child)
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-        masses = one_hot(y[rows], n_classes) * wv[y[rows]][:, None]
-        root = _build_classification_tree(
-            x[rows], masses, np.arange(n), 0, tree_params, n_sub, rng, None
-        )
-        trees.append(root)
+        pick_features = functools.partial(_draw_features, rng, d, n_sub)
+        trees.append(_class_tree(x[rows], y[rows], wv, n_classes, tree_params, pick_features))
     return RandomForestModel(trees, params, n_classes, train_seconds=time.perf_counter() - t0)
 
 
@@ -380,94 +466,13 @@ def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | N
 # ---------------------------------------------------------------------------
 
 
-def _build_regression_tree(
-    x: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    feats: np.ndarray,
-    params: GbtParams,
-) -> TreeNode:
-    """Newton-step regression tree: leaves hold -soft(G, alpha)/(H + lambda)."""
-    g_sum = float(g[idx].sum())
-    h_sum = float(h[idx].sum())
-    if depth >= params.max_depth or idx.size < 2:
-        return TreeNode(scores=np.array([_newton_leaf(g_sum, h_sum, params)]))
-
-    lam = params.reg_lambda
-    best_score = np.inf
-    best_feature = -1
-    best_threshold = 0.0
-    for f in feats:
-        v = x[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cut = np.flatnonzero(vs[1:] > vs[:-1])
-        if cut.size == 0:
-            continue
-        gl = np.cumsum(g[idx][order])[cut]
-        hl = np.cumsum(h[idx][order])[cut]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        score = -(gl * gl) / np.maximum(hl + lam, _HESSIAN_FLOOR) - (gr * gr) / np.maximum(
-            hr + lam, _HESSIAN_FLOOR
-        )
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            best_score = float(score[i])
-            best_feature = int(f)
-            best_threshold = 0.5 * (vs[cut[i]] + vs[cut[i] + 1])
-    if best_feature < 0:
-        return TreeNode(scores=np.array([_newton_leaf(g_sum, h_sum, params)]))
-
-    go_left = x[idx, best_feature] <= best_threshold
-    return TreeNode(
-        feature=best_feature,
-        threshold=float(best_threshold),
-        left=_build_regression_tree(x, g, h, idx[go_left], depth + 1, feats, params),
-        right=_build_regression_tree(x, g, h, idx[~go_left], depth + 1, feats, params),
-    )
-
-
-def _newton_leaf(g_sum: float, h_sum: float, params: GbtParams) -> float:
-    alpha = params.reg_alpha
-    if g_sum > alpha:
-        num = g_sum - alpha
-    elif g_sum < -alpha:
-        num = g_sum + alpha
-    else:
-        return 0.0
-    return -num / max(h_sum + params.reg_lambda, _HESSIAN_FLOOR)
-
-
-def _leaf_hessian_sums(root: TreeNode, x: np.ndarray, h: np.ndarray, idx: np.ndarray) -> list:
-    sums = []
-    stack = [(root, idx)]
-    while stack:
-        node, ids = stack.pop()
-        if node.is_leaf:
-            sums.append(float(h[ids].sum()))
-            continue
-        go_left = x[ids, node.feature] <= node.threshold
-        stack.append((node.left, ids[go_left]))
-        stack.append((node.right, ids[~go_left]))
-    return sums
-
-
 class GradientBoostedModel:
     """Multiclass Newton boosting: one regression tree per class per round."""
 
     family = "gbt"
 
-    def __init__(
-        self,
-        rounds: list,
-        log_priors: np.ndarray,
-        params: GbtParams,
-        n_classes: int,
-        train_seconds: float = 0.0,
-    ):
+    def __init__(self, rounds: list, log_priors: np.ndarray, params: GbtParams, n_classes: int,
+                 train_seconds: float = 0.0):
         self.rounds = rounds  # list of per-class tree lists (None = skipped tree)
         self.log_priors = np.asarray(log_priors, dtype=np.float64)
         self.params = params
@@ -479,9 +484,9 @@ class GradientBoostedModel:
         margins = np.tile(self.log_priors, (x.shape[0], 1))
         lr = self.params.learning_rate
         for class_trees in self.rounds:
-            for k, root in enumerate(class_trees):
-                if root is not None:
-                    margins[:, k] += lr * _apply_tree(root, x, 1)[:, 0]
+            for k, tree in enumerate(class_trees):
+                if tree is not None:
+                    margins[:, k] += lr * tree.predict(x)[:, 0]
         return margins
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -491,24 +496,16 @@ class GradientBoostedModel:
         return self.predict_proba(x).argmax(axis=1)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n_classes": self.n_classes,
-            "params": asdict(self.params),
-            "log_priors": [float(v) for v in self.log_priors],
-            "rounds": [
-                [None if t is None else t.to_dict() for t in class_trees]
-                for class_trees in self.rounds
-            ],
-        }
+        return _model_dict(
+            self,
+            log_priors=[float(v) for v in self.log_priors],
+            rounds=[[None if t is None else t.to_dict() for t in class_trees] for class_trees in self.rounds],
+        )
 
     @staticmethod
     def from_dict(obj: dict) -> "GradientBoostedModel":
         return GradientBoostedModel(
-            rounds=[
-                [None if t is None else TreeNode.from_dict(t) for t in class_trees]
-                for class_trees in obj["rounds"]
-            ],
+            rounds=[[None if t is None else Tree.from_dict(t) for t in class_trees] for class_trees in obj["rounds"]],
             log_priors=np.asarray(obj["log_priors"], dtype=np.float64),
             params=GbtParams(**obj["params"]),
             n_classes=int(obj["n_classes"]),
@@ -521,7 +518,8 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     Per round and class k the tree regresses the Newton statistics
     g_i = w_{y_i} (p_{i,k} - [y_i = k]) and h_i = w_{y_i} p_{i,k} (1 - p_{i,k});
     margins start at the log class priors.  Rows are subsampled per round and
-    feature columns per tree.
+    feature columns per tree.  The trees of a round share one presort, and
+    without row subsampling the whole fit shares one.
     """
     params = params or GbtParams()
     x = np.asarray(x, dtype=np.float64)
@@ -541,25 +539,28 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     rng = np.random.default_rng(seed)
     n_rows = max(2, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample * d)))
+    rows, x_rows = np.arange(n), x
+    ordered = _presort(x) if n_rows == n else None
     rounds = []
     for round_idx in range(params.n_estimators):
-        rows = np.sort(rng.choice(n, size=n_rows, replace=False)) if n_rows < n else np.arange(n)
+        if n_rows < n:
+            rows = np.sort(rng.choice(n, size=n_rows, replace=False))
+            x_rows = x[rows]
+            ordered = _presort(x_rows)
         p = softmax(margins[rows])
         class_trees = []
-        fitted_any = False
         for k in range(n_classes):
             g = wy[rows] * (p[:, k] - y_hot[rows, k])
             h = wy[rows] * p[:, k] * (1.0 - p[:, k])
-            feats = np.sort(rng.choice(d, size=n_cols, replace=False)) if n_cols < d else np.arange(d)
-            root = _build_regression_tree(x[rows], g, h, np.arange(rows.size), 0, feats, params)
-            leaf_h = _leaf_hessian_sums(root, x[rows], h, np.arange(rows.size))
-            if all(s < _HESSIAN_FLOOR for s in leaf_h):
+            feats = _draw_features(rng, d, n_cols)
+            tree, leaf_of, leaf_totals = _grow(x_rows, ordered, _Newton(g, h, params), lambda: feats, params.max_depth)
+            if np.all(leaf_totals[:, 1] < _HESSIAN_FLOOR):
                 class_trees.append(None)
                 continue
-            margins[:, k] += params.learning_rate * _apply_tree(root, x, 1)[:, 0]
-            class_trees.append(root)
-            fitted_any = True
-        if not fitted_any:
+            step = tree.value[leaf_of, 0] if n_rows == n else tree.predict(x)[:, 0]
+            margins[:, k] += params.learning_rate * step
+            class_trees.append(tree)
+        if all(t is None for t in class_trees):
             warnings.warn(
                 "boosting round %d skipped: all leaf hessian sums below %g"
                 % (round_idx, _HESSIAN_FLOOR),
@@ -569,11 +570,7 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     return GradientBoostedModel(rounds, log_priors, params, n_classes, train_seconds=time.perf_counter() - t0)
 
 
-_MODEL_TYPES = {
-    "dt": DecisionTreeModel,
-    "rf": RandomForestModel,
-    "gbt": GradientBoostedModel,
-}
+_MODEL_TYPES = {m.family: m for m in (DecisionTreeModel, RandomForestModel, GradientBoostedModel)}
 
 
 def save_model(model, path) -> None:

@@ -1,9 +1,16 @@
 """Decision trees, random forests, and Newton-boosted trees."""
 
+import json
+import os
+import tempfile
 import warnings
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbench import (
     ForestParams,
@@ -16,6 +23,7 @@ from imbench import (
     save_model,
     weighted_cce,
 )
+from imbench import trees
 from tests.conftest import make_blobs
 
 
@@ -75,7 +83,7 @@ class TestDecisionTree:
         x = np.hstack([col, col])  # identical columns -> identical split scores
         y = (col[:, 0] > 0).astype(np.int64)
         model = dt_fit(x, y, np.ones(2), params=TreeParams(max_depth=1))
-        assert model.root.feature == 0
+        assert model.root.feature[0] == 0
 
     def test_deterministic_regardless_of_seed(self, rng):
         x = rng.normal(size=(100, 4))
@@ -89,12 +97,9 @@ class TestDecisionTree:
         y = rng.integers(0, 2, size=64)
         model = dt_fit(x, y, np.ones(2), params=TreeParams(max_depth=10, min_samples_leaf=8))
         # count samples reaching each leaf
-        def leaf_counts(node, rows):
-            if node.is_leaf:
-                return [rows.shape[0]]
-            mask = rows[:, node.feature] <= node.threshold
-            return leaf_counts(node.left, rows[mask]) + leaf_counts(node.right, rows[~mask])
-        assert min(leaf_counts(model.root, x)) >= 8
+        tree = model.root
+        leaf_counts = np.bincount(tree.apply(x), minlength=tree.feature.size)[tree.feature < 0]
+        assert leaf_counts.min() >= 8
 
     def test_entropy_criterion_also_learns(self):
         x, y = xor_dataset()
@@ -252,8 +257,126 @@ class TestSerialization:
             assert loaded.params == model.params
             np.testing.assert_array_equal(loaded.predict_proba(xte), model.predict_proba(xte))
 
+    def test_node_walk_visits_every_node(self):
+        xtr, ytr, _, _ = blob_split(300, 3, 5, 2.0, seed=4)
+        tree = dt_fit(xtr, ytr, np.ones(3), params=TreeParams(max_depth=5)).root
+
+        def count(node):
+            return 1 if node.is_leaf else 1 + count(node.left) + count(node.right)
+
+        assert count(tree) == tree.feature.size > 1
+
+    def test_nested_tree_layout_rejected(self, tmp_path):
+        p = tmp_path / "nested.json"
+        tree = {"feature": 0, "threshold": 0.5, "left": {"scores": [1.0, 0.0]}, "right": {"scores": [0.0, 1.0]}}
+        p.write_text(json.dumps({"family": "dt", "n_classes": 2, "params": {}, "tree": tree}), encoding="utf-8")
+        with pytest.raises(ValueError, match="nested node layout"):
+            load_model(p)
+
     def test_unknown_family_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"family": "svm"}', encoding="utf-8")
         with pytest.raises(ValueError, match="family"):
             load_model(p)
+
+
+# ---------------------------------------------------------------------------
+# properties of the split search and the flat layout
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_tables(draw, max_rows=40):
+    """Small tables with many tied feature values; every class appears."""
+    n = draw(st.integers(4, max_rows))
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 4))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5])))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    y[:k] = np.arange(k)
+    return x, y, k
+
+
+def oracle_split(x, y, k, min_leaf):
+    """Best (feature, threshold) by scoring every midpoint directly, or None.
+
+    Scores use the same float formula as the engine, so exact ties resolve
+    by scan order: lowest feature, then lowest threshold.
+    """
+    def weighted_gini(rows):
+        counts = np.bincount(y[rows], minlength=k).astype(np.float64)
+        m = counts.sum()
+        p = counts / m
+        return m * (1.0 - np.sum(p * p))
+
+    best_score, best = np.inf, None
+    for f in range(x.shape[1]):
+        values = np.unique(x[:, f])
+        for t in 0.5 * (values[:-1] + values[1:]):
+            go_left = x[:, f] <= t
+            if min(go_left.sum(), (~go_left).sum()) < min_leaf:
+                continue
+            score = weighted_gini(go_left) + weighted_gini(~go_left)
+            if score < best_score:
+                best_score, best = score, (f, t)
+    return best
+
+
+FAST = settings(max_examples=40, deadline=None)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 12, 16, 17, 40, 128, 129, 300])
+def test_row_sum_adds_like_numpy_sum_of_a_row(width):
+    rng = np.random.default_rng(width)
+    a = rng.normal(size=(3, 50, width)) * 10.0 ** rng.integers(-8, 8, size=(3, 50, width))
+    expected = a.sum(axis=-1)
+    assert trees._row_sum(np.moveaxis(a, -1, 0)).tobytes() == expected.tobytes()
+    assert trees._row_sum(a[0, 0]) == expected[0, 0]
+
+
+class TestSplitProperties:
+    @FAST
+    @given(tied_tables(), st.integers(1, 4))
+    def test_depth_one_split_matches_brute_force(self, table, min_leaf):
+        x, y, k = table
+        model = dt_fit(x, y, np.ones(k), params=TreeParams(max_depth=1, min_samples_leaf=min_leaf))
+        expected = oracle_split(x, y, k, min_leaf)
+        tree = model.root
+        if expected is None:
+            assert tree.feature[0] == -1
+        else:
+            assert (tree.feature[0], tree.threshold[0]) == expected
+
+    @FAST
+    @given(tied_tables(), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4))
+    def test_block_budget_does_not_change_predictions(self, table, weights):
+        x, y, k = table
+        w = np.asarray(weights[:k])
+        fits = [
+            lambda: dt_fit(x, y, w, params=TreeParams(max_depth=4, criterion="entropy")),
+            lambda: rf_fit(x, y, w, params=ForestParams(n_estimators=3, max_depth=4, max_features=0.7), seed=2),
+            lambda: gbt_fit(x, y, w, params=GbtParams(n_estimators=3, max_depth=2, subsample=0.8), seed=2),
+        ]
+        for fit in fits:
+            with mock.patch.object(trees, "_BLOCK_ELEMENTS", 1):
+                one_per_block = fit().predict_proba(x)
+            with mock.patch.object(trees, "_BLOCK_ELEMENTS", 1 << 40):
+                all_in_one = fit().predict_proba(x)
+            assert one_per_block.tobytes() == all_in_one.tobytes()
+
+    @FAST
+    @given(tied_tables())
+    def test_save_load_round_trip_is_bitwise(self, table):
+        x, y, k = table
+        w = np.linspace(0.5, 2.0, k)
+        models = [
+            dt_fit(x, y, w, params=TreeParams(max_depth=5)),
+            rf_fit(x, y, w, params=ForestParams(n_estimators=3, max_depth=5), seed=1),
+            gbt_fit(x, y, w, params=GbtParams(n_estimators=3, learning_rate=0.3), seed=1),
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            for model in models:
+                path = os.path.join(tmp, "%s.json" % model.family)
+                save_model(model, path)
+                reloaded = load_model(path)
+                assert reloaded.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
