@@ -51,26 +51,26 @@ def _load_preprocessed(csv_path: str, schema_path: str):
 
 
 def _cmd_inspect(args) -> int:
-    data, schema = _load_preprocessed(args.csv, args.schema)
-    dist = class_frequencies(data.labels)
+    raw = load_csv(args.csv, load_schema(args.schema))  # labels only: no preprocess
+    dist = class_frequencies(raw.labels)
     report = imbalance_report(dist)
     if args.json:
         print(json.dumps({
-            "target": schema.label_column,
-            "n_samples": data.n_samples,
-            "n_classes": data.n_classes,
-            "counts": {data.class_names[i]: int(c) for i, c in zip(dist.class_ids, dist.counts)},
+            "target": raw.schema.label_column,
+            "n_samples": raw.n_samples,
+            "n_classes": len(raw.class_names),
+            "counts": {raw.class_names[i]: int(c) for i, c in zip(dist.class_ids, dist.counts)},
             "cvcf": report.cvcf,
             "imbalance_ratio": report.imbalance_ratio,
             "necd": report.necd,
         }, indent=2))
         return 0
-    print("target column:   %s" % schema.label_column)
-    print("samples:         %d" % data.n_samples)
-    print("classes:         %d" % data.n_classes)
-    width = max(len(n) for n in data.class_names)
+    print("target column:   %s" % raw.schema.label_column)
+    print("samples:         %d" % raw.n_samples)
+    print("classes:         %d" % len(raw.class_names))
+    width = max(len(n) for n in raw.class_names)
     for i, c in zip(dist.class_ids, dist.counts):
-        print("  %-*s  %7d  (%.4f)" % (width, data.class_names[i], c, c / dist.total))
+        print("  %-*s  %7d  (%.4f)" % (width, raw.class_names[i], c, c / dist.total))
     print("cvcf:            %.6f" % report.cvcf)
     print("imbalance ratio: %.6f" % report.imbalance_ratio)
     print("necd:            %.6f" % report.necd)
@@ -78,16 +78,16 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    data, _ = _load_preprocessed(args.csv, args.schema)
-    dist = class_frequencies(data.labels)
+    raw = load_csv(args.csv, load_schema(args.schema))  # labels only: no preprocess
+    dist = class_frequencies(raw.labels)
     schemes = {s: compute_weights(dist, s, beta=args.beta).weights for s in STRATEGIES}
-    width = max(len(data.class_names[i]) for i in dist.class_ids)
+    width = max(len(raw.class_names[i]) for i in dist.class_ids)
     header = "  %-*s  %8s" % (width, "class", "count")
     for s in STRATEGIES:
         header += "  %10s" % s
     print(header)
     for row, (i, c) in enumerate(zip(dist.class_ids, dist.counts)):
-        line = "  %-*s  %8d" % (width, data.class_names[i], c)
+        line = "  %-*s  %8d" % (width, raw.class_names[i], c)
         for s in STRATEGIES:
             line += "  %10.4f" % schemes[s][row]
         print(line)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,8 +206,9 @@ def load_csv(path, schema: ColumnSchema) -> RawDataset:
     """Load a UTF-8 comma-separated file against a schema.
 
     The header must contain exactly the schema's column names (order free;
-    use role 'ignore' to skip columns).  Numeric parse failures and rows
-    with the wrong field count are reported with their 1-based row number.
+    use role 'ignore' to skip columns).  Rows are parsed as they are read;
+    the first row with the wrong field count, a missing label or a numeric
+    parse failure is reported with its 1-based row number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -214,71 +216,51 @@ def load_csv(path, schema: ColumnSchema) -> RawDataset:
             header = next(reader)
         except StopIteration:
             raise ValueError("empty CSV file: %s" % path) from None
-        rows = list(reader)
-
-    schema_names = [c.name for c in schema.columns]
-    if sorted(header) != sorted(schema_names):
-        missing = sorted(set(schema_names) - set(header))
-        extra = sorted(set(header) - set(schema_names))
-        raise ValueError(
-            "CSV header does not match schema (missing: %s; undeclared: %s)"
-            % (missing or "none", extra or "none")
-        )
-    col_pos = {name: header.index(name) for name in schema_names}
-    label_pos = col_pos[schema.label_column]
-
-    n = len(rows)
-    if n == 0:
+        schema_names = [c.name for c in schema.columns]
+        if sorted(header) != sorted(schema_names):
+            missing = sorted(set(schema_names) - set(header))
+            extra = sorted(set(header) - set(schema_names))
+            raise ValueError(
+                "CSV header does not match schema (missing: %s; undeclared: %s)"
+                % (missing or "none", extra or "none")
+            )
+        n_fields = len(header)
+        label_pos = header.index(schema.label_column)
+        # continuous cells go to float arrays, which hold no Python objects for the GC to traverse
+        cont = [(c.name, header.index(c.name), array("d")) for c in schema.feature_columns if c.kind == "continuous"]
+        cat = [(c.name, header.index(c.name), []) for c in schema.feature_columns if c.kind == "categorical"]
+        class_index: dict = {}
+        labels = []
+        for rownum, row in enumerate(reader, start=2):  # 1-based, counting the header
+            if len(row) != n_fields:
+                raise ValueError("malformed row %d: expected %d fields, got %d" % (rownum, n_fields, len(row)))
+            raw_label = row[label_pos].strip()
+            if raw_label in MISSING_TOKENS:
+                raise ValueError("missing label value at row %d" % rownum)
+            labels.append(class_index.setdefault(raw_label, len(class_index)))
+            for name, pos, values in cont:
+                cell = row[pos].strip()
+                if cell in MISSING_TOKENS:
+                    values.append(np.nan)
+                    continue
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(
+                        "malformed row %d: column %r expected a number, got %r" % (rownum, name, cell)
+                    ) from None
+            for _, pos, values in cat:
+                cell = row[pos].strip()
+                values.append(None if cell in MISSING_TOKENS else cell)
+    if not labels:
         raise ValueError("CSV has a header but no data rows: %s" % path)
-
-    cont_cols = {c.name: np.full(n, np.nan) for c in schema.feature_columns if c.kind == "continuous"}
-    cat_cols = {c.name: [None] * n for c in schema.feature_columns if c.kind == "categorical"}
-    class_names: list = []
-    class_index: dict = {}
-    labels = np.empty(n, dtype=np.int64)
-
-    for i, row in enumerate(rows):
-        rownum = i + 2  # 1-based, counting the header
-        if len(row) != len(header):
-            raise ValueError("malformed row %d: expected %d fields, got %d" % (rownum, len(header), len(row)))
-        raw_label = row[label_pos].strip()
-        if raw_label in MISSING_TOKENS:
-            raise ValueError("missing label value at row %d" % rownum)
-        if raw_label not in class_index:
-            class_index[raw_label] = len(class_names)
-            class_names.append(raw_label)
-        labels[i] = class_index[raw_label]
-        for name, arr in cont_cols.items():
-            cell = row[col_pos[name]].strip()
-            if cell in MISSING_TOKENS:
-                continue
-            try:
-                arr[i] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    "malformed row %d: column %r expected a number, got %r" % (rownum, name, cell)
-                ) from None
-        for name, lst in cat_cols.items():
-            cell = row[col_pos[name]].strip()
-            lst[i] = None if cell in MISSING_TOKENS else cell
-
     return RawDataset(
-        continuous=cont_cols,
-        categorical=cat_cols,
-        labels=labels,
-        class_names=class_names,
+        continuous={name: np.array(values, dtype=np.float64) for name, _, values in cont},
+        categorical={name: values for name, _, values in cat},
+        labels=np.array(labels, dtype=np.int64),
+        class_names=list(class_index),
         schema=schema,
     )
-
-
-def _mode_first_appearance(values) -> str:
-    """Most frequent value; ties resolved by first appearance order."""
-    counts: dict = {}
-    order: dict = {}
-    for pos, v in enumerate(values):
-        counts[v] = counts.get(v, 0) + 1
-        order.setdefault(v, pos)
-    return max(counts, key=lambda v: (counts[v], -order[v]))
 
 
 def preprocess(raw: RawDataset) -> Dataset:
@@ -303,8 +285,6 @@ def preprocess(raw: RawDataset) -> Dataset:
                 continue
             filled = col.copy()
             if missing.any():
-                if missing.all():
-                    raise ValueError("column %r has no observed values" % spec.name)
                 filled[missing] = np.median(col[~missing])
             mean = filled.mean()
             std = filled.std(ddof=1) if n > 1 else 0.0
@@ -313,19 +293,24 @@ def preprocess(raw: RawDataset) -> Dataset:
             names.append(spec.name)
         else:
             col = raw.categorical[spec.name]
-            n_missing = sum(1 for v in col if v is None)
-            if n_missing > 0.5 * n:
-                continue
-            observed = [v for v in col if v is not None]
-            mode = _mode_first_appearance(observed)
-            filled_cat = [mode if v is None else v for v in col]
-            categories = list(dict.fromkeys(filled_cat))  # first-appearance order
-            block = np.zeros((n, len(categories)))
-            cat_index = {c: j for j, c in enumerate(categories)}
-            for i, v in enumerate(filled_cat):
-                block[i, cat_index[v]] = 1.0
+            seen = list(dict.fromkeys(col))  # first-appearance order, None included
+            index = {v: j for j, v in enumerate(seen)}
+            codes = np.fromiter(map(index.__getitem__, col), dtype=np.intp, count=n)
+            counts = np.bincount(codes)
+            hole = index.get(None)
+            if hole is not None:
+                if counts[hole] > 0.5 * n:
+                    continue
+                counts[hole] = -1
+                codes[codes == hole] = np.argmax(counts)  # a mode tie goes to the first to appear
+            present, first = np.unique(codes, return_index=True)
+            order = present[np.argsort(first)]  # categories of the filled column, first appearance
+            column_of = np.empty(len(seen), dtype=np.intp)
+            column_of[order] = np.arange(order.size)
+            block = np.zeros((n, order.size))
+            block[np.arange(n), column_of[codes]] = 1.0
             blocks.append(block)
-            names.extend("%s=%s" % (spec.name, c) for c in categories)
+            names.extend("%s=%s" % (spec.name, seen[c]) for c in order)
     if not blocks:
         raise ValueError("no usable feature columns survive preprocessing")
     return Dataset(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -469,12 +470,10 @@ def summarize(results) -> list:
 # persistence
 # ---------------------------------------------------------------------------
 
-_RESULT_FIELDS = (
-    "classifier", "target", "filter_threshold", "seed", "status", "reason",
-    "cvcf", "imbalance_ratio", "necd", "accuracy", "macro_f1", "weighted_f1",
-    "train_seconds", "n_train",
-)
+# a results row: the block's key and status, its float scores, then n_train
+_KEY_FIELDS = ("classifier", "target", "filter_threshold", "seed", "status", "reason")
 _FLOAT_FIELDS = ("cvcf", "imbalance_ratio", "necd", "accuracy", "macro_f1", "weighted_f1", "train_seconds")
+_RESULT_FIELDS = _KEY_FIELDS + _FLOAT_FIELDS + ("n_train",)
 
 
 def _format_cell(value) -> str:
@@ -486,34 +485,30 @@ def _format_cell(value) -> str:
 def write_results(results, path) -> None:
     """Raw per-run rows as CSV; floats carry 17 significant digits so the
     read side reproduces them bit-for-bit."""
+    key, scores = operator.attrgetter(*_KEY_FIELDS), operator.attrgetter(*_FLOAT_FIELDS)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_RESULT_FIELDS)
-        for r in results:
-            writer.writerow([_format_cell(getattr(r, f)) for f in _RESULT_FIELDS])
+        writer.writerows((*key(r), *map(_FLOAT_FMT.__mod__, scores(r)), r.n_train) for r in results)
 
 
 def read_results(path) -> list:
+    """Rows written by ``write_results``; a row whose field count differs
+    from the header's is rejected with its 1-based row number."""
+    n_fields = len(_RESULT_FIELDS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != _RESULT_FIELDS:
             raise ValueError("unexpected results header in %s" % path)
         rows = []
-        for row in reader:
-            rec = dict(zip(_RESULT_FIELDS, row))
-            rows.append(
-                BlockResult(
-                    classifier=rec["classifier"],
-                    target=rec["target"],
-                    filter_threshold=int(rec["filter_threshold"]),
-                    seed=int(rec["seed"]),
-                    status=rec["status"],
-                    reason=rec["reason"],
-                    n_train=int(rec["n_train"]),
-                    **{f: float(rec[f]) for f in _FLOAT_FIELDS},
-                )
-            )
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) != n_fields:
+                raise ValueError("malformed row %d in %s: expected %d fields, got %d"
+                                 % (rownum, path, n_fields, len(row)))
+            classifier, target, threshold, seed, status, reason, *scores, n_train = row
+            rows.append(BlockResult(classifier, target, int(threshold), int(seed), status, reason,
+                                    *map(float, scores), int(n_train)))
     return rows
 
 

@@ -16,6 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 from scipy import stats as _sps
+from scipy.special import ndtr
 
 __all__ = [
     "BlockMatrix",
@@ -151,7 +152,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     if var <= 0:
         return w, 1.0
     z = (w - mean + 0.5) / np.sqrt(var)  # continuity correction toward the mean
-    return w, float(min(1.0, 2.0 * _sps.norm.cdf(z)))
+    return w, float(min(1.0, 2.0 * ndtr(z)))
 
 
 def holm_adjust(p_values) -> np.ndarray:

@@ -278,6 +278,14 @@ def _presort(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
 
 
+def _presort_rows(full: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_presort(x[rows])`` for ascending ``rows``, filtered from ``full = _presort(x)``."""
+    pos = np.full(full.shape[1], -1, dtype=np.intp)
+    pos[rows] = np.arange(rows.size)
+    kept = pos[full]
+    return kept[kept >= 0].reshape(full.shape[0], rows.size)
+
+
 def _best_split(x, ordered, crit, total, feats, min_leaf):
     """(feature, threshold) of the lowest-scoring cut over ``feats``, or None.
 
@@ -518,8 +526,8 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     Per round and class k the tree regresses the Newton statistics
     g_i = w_{y_i} (p_{i,k} - [y_i = k]) and h_i = w_{y_i} p_{i,k} (1 - p_{i,k});
     margins start at the log class priors.  Rows are subsampled per round and
-    feature columns per tree.  The trees of a round share one presort, and
-    without row subsampling the whole fit shares one.
+    feature columns per tree.  The fit presorts once; a subsampled round
+    filters its rows' order from that presort.
     """
     params = params or GbtParams()
     x = np.asarray(x, dtype=np.float64)
@@ -540,13 +548,13 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     n_rows = max(2, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample * d)))
     rows, x_rows = np.arange(n), x
-    ordered = _presort(x) if n_rows == n else None
+    full = ordered = _presort(x)
     rounds = []
     for round_idx in range(params.n_estimators):
         if n_rows < n:
             rows = np.sort(rng.choice(n, size=n_rows, replace=False))
             x_rows = x[rows]
-            ordered = _presort(x_rows)
+            ordered = _presort_rows(full, rows)
         p = softmax(margins[rows])
         class_trees = []
         for k in range(n_classes):

@@ -89,6 +89,22 @@ class TestInspect:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_reads_only_the_label_column(self, tmp_path, capsys):
+        """A feature column no model could use does not stop inspect or weights; train still fails."""
+        csv = tmp_path / "blank.csv"
+        csv.write_text("x,label\n,a\nNA,b\n,a\n", encoding="utf-8")
+        schema = tmp_path / "blank.schema.json"
+        schema.write_text(json.dumps({"columns": [{"name": "x"}, {"name": "label", "role": "label"}]}),
+                          encoding="utf-8")
+        assert main(["inspect", "--csv", str(csv), "--schema", str(schema), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_samples"] == 3 and payload["counts"] == {"a": 2, "b": 1}
+        assert main(["weights", "--csv", str(csv), "--schema", str(schema)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+        assert main(["train", "--csv", str(csv), "--schema", str(schema), "--family", "dt"]) == 2
+        assert "no usable feature columns" in capsys.readouterr().err
+
+
 class TestWeights:
     def test_table_lists_all_strategies(self, dataset, capsys):
         csv, schema = dataset

@@ -1,9 +1,14 @@
 """CSV loading, preprocessing, stratified splits, and rare-class filtering."""
 
+import csv
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbench import (
     ColumnSchema,
@@ -18,6 +23,7 @@ from imbench import (
     schema_for,
     stratified_split,
 )
+from imbench.data import MISSING_TOKENS
 
 
 def write_csv(path, text):
@@ -385,3 +391,174 @@ class TestDatasetContainer:
                 feature_names=("x",),
                 class_names=("a", "b"),
             )
+
+
+# ---------------------------------------------------------------------------
+# the row-at-a-time loader and encoder, kept as an oracle for the column-wise
+# implementation: same matrices, names and error messages
+# ---------------------------------------------------------------------------
+
+
+def oracle_load_csv(path, schema):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("empty CSV file: %s" % path) from None
+        rows = list(reader)
+    schema_names = [c.name for c in schema.columns]
+    if sorted(header) != sorted(schema_names):
+        missing = sorted(set(schema_names) - set(header))
+        extra = sorted(set(header) - set(schema_names))
+        raise ValueError(
+            "CSV header does not match schema (missing: %s; undeclared: %s)"
+            % (missing or "none", extra or "none")
+        )
+    col_pos = {name: header.index(name) for name in schema_names}
+    n = len(rows)
+    if n == 0:
+        raise ValueError("CSV has a header but no data rows: %s" % path)
+    cont_cols = {c.name: np.full(n, np.nan) for c in schema.feature_columns if c.kind == "continuous"}
+    cat_cols = {c.name: [None] * n for c in schema.feature_columns if c.kind == "categorical"}
+    class_names, class_index = [], {}
+    labels = np.empty(n, dtype=np.int64)
+    for i, row in enumerate(rows):
+        rownum = i + 2
+        if len(row) != len(header):
+            raise ValueError("malformed row %d: expected %d fields, got %d" % (rownum, len(header), len(row)))
+        raw_label = row[col_pos[schema.label_column]].strip()
+        if raw_label in MISSING_TOKENS:
+            raise ValueError("missing label value at row %d" % rownum)
+        if raw_label not in class_index:
+            class_index[raw_label] = len(class_names)
+            class_names.append(raw_label)
+        labels[i] = class_index[raw_label]
+        for name, arr in cont_cols.items():
+            cell = row[col_pos[name]].strip()
+            if cell in MISSING_TOKENS:
+                continue
+            try:
+                arr[i] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    "malformed row %d: column %r expected a number, got %r" % (rownum, name, cell)
+                ) from None
+        for name, lst in cat_cols.items():
+            cell = row[col_pos[name]].strip()
+            lst[i] = None if cell in MISSING_TOKENS else cell
+    return RawDataset(cont_cols, cat_cols, labels, class_names, schema)
+
+
+def oracle_preprocess(raw):
+    n = raw.n_samples
+    blocks, names = [], []
+    for spec in raw.schema.feature_columns:
+        if spec.kind == "continuous":
+            col = raw.continuous[spec.name]
+            missing = np.isnan(col)
+            if missing.sum() > 0.5 * n:
+                continue
+            filled = col.copy()
+            if missing.any():
+                filled[missing] = np.median(col[~missing])
+            std = filled.std(ddof=1) if n > 1 else 0.0
+            blocks.append(((filled - filled.mean()) / max(std, 1e-12))[:, None])
+            names.append(spec.name)
+        else:
+            col = raw.categorical[spec.name]
+            if sum(1 for v in col if v is None) > 0.5 * n:
+                continue
+            counts, order = {}, {}
+            for pos, v in enumerate(v for v in col if v is not None):
+                counts[v] = counts.get(v, 0) + 1
+                order.setdefault(v, pos)
+            mode = max(counts, key=lambda v: (counts[v], -order[v]))
+            filled_cat = [mode if v is None else v for v in col]
+            categories = list(dict.fromkeys(filled_cat))
+            block = np.zeros((n, len(categories)))
+            for i, v in enumerate(filled_cat):
+                block[i, categories.index(v)] = 1.0
+            blocks.append(block)
+            names.extend("%s=%s" % (spec.name, c) for c in categories)
+    if not blocks:
+        raise ValueError("no usable feature columns survive preprocessing")
+    return Dataset(np.hstack(blocks), raw.labels, tuple(names), tuple(raw.class_names))
+
+
+def outcome(load, encode, path, schema):
+    """Everything the pipeline produces, or the error it raises, as comparable values."""
+    try:
+        with np.errstate(invalid="ignore"):  # an "inf" cell makes a NaN z-score, which Dataset rejects
+            data = encode(load(path, schema))
+    except ValueError as exc:
+        return "error", str(exc)
+    return (data.features.tobytes(), data.features.shape, data.labels.tobytes(),
+            data.feature_names, data.class_names)
+
+
+_NUMBER_CELLS = ("1", "-2.5", " 3 ", "1e3", "0", "-0", "", "NA", "  NA ", " ")
+_BAD_NUMBER_CELLS = ("nan", "inf", "abc", "1,5")
+_CATEGORY_CELLS = ("red", "blue", " red ", "a,b", 'say "hi"', "", "NA", " NA", "  ")
+_LABEL_CELLS = ("x", " y ", "z,w")
+
+
+@st.composite
+def messy_tables(draw):
+    """Small CSVs (header, rows, schema) with missing tokens, quoted commas,
+    mode ties and mostly-missing columns; a dirty table also has ragged rows,
+    unparsable or non-finite numbers and missing labels."""
+    n_cont = draw(st.integers(0, 2))
+    n_cat = draw(st.integers(0 if n_cont else 1, 2))
+    names = ["c%d" % j for j in range(n_cont)] + ["k%d" % j for j in range(n_cat)] + ["note", "label"]
+    header = draw(st.permutations(names))
+    n = draw(st.integers(2, 12))
+    dirty = draw(st.booleans())
+    numbers = _NUMBER_CELLS + _BAD_NUMBER_CELLS if dirty else _NUMBER_CELLS
+    labels = _LABEL_CELLS + ("", "NA") if dirty else _LABEL_CELLS
+    rows = []
+    for i in range(n):
+        cells = {"note": "free text, quoted"}
+        for name in names[:n_cont]:
+            cells[name] = draw(st.sampled_from(numbers))
+        for name in names[n_cont:n_cont + n_cat]:
+            cells[name] = draw(st.sampled_from(_CATEGORY_CELLS))
+        cells["label"] = _LABEL_CELLS[i] if i < 2 else draw(st.sampled_from(labels))
+        row = [cells[name] for name in header]
+        if dirty and draw(st.integers(0, 9)) == 0:
+            row = row[:-1] if draw(st.booleans()) else row + ["extra"]
+        rows.append(row)
+    schema = ColumnSchema(
+        tuple(ColumnSpec(name, "feature", "continuous") for name in names[:n_cont])
+        + tuple(ColumnSpec(name, "feature", "categorical") for name in names[n_cont:n_cont + n_cat])
+        + (ColumnSpec("note", "ignore"), ColumnSpec("label", "label"))
+    )
+    return header, rows, schema
+
+
+class TestColumnwiseIngestMatchesRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(messy_tables())
+    def test_same_matrix_names_and_errors(self, table):
+        header, rows, schema = table
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            expected = outcome(oracle_load_csv, oracle_preprocess, path, schema)
+            assert outcome(load_csv, preprocess, path, schema) == expected
+
+    def test_hole_before_the_mode_moves_its_column_first(self):
+        raw = RawDataset(
+            continuous={},
+            categorical={"c": [None, "b", "a", "a", "b", "a"]},
+            labels=np.array([0, 1, 0, 1, 0, 1]),
+            class_names=["x", "y"],
+            schema=simple_schema(("c", "categorical")),
+        )
+        data = preprocess(raw)
+        # "a" is the mode and fills row 0, so it is the first category of the filled column
+        assert data.feature_names == ("c=a", "c=b")
+        np.testing.assert_array_equal(data.features[:, 0], [1, 0, 1, 1, 0, 1])

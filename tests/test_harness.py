@@ -2,10 +2,15 @@
 
 import json
 import math
-from dataclasses import asdict
+import os
+import struct
+import tempfile
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbench import (
     BlockResult,
@@ -383,6 +388,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="header"):
             read_results(p)
 
+    def header_and_row(self, tmp_path):
+        p = tmp_path / "results.csv"
+        write_results([BlockResult("dt+none", "label", 1, 0, n_train=10)], p)
+        return p.read_text(encoding="utf-8").splitlines()
+
+    def test_long_row_rejected(self, tmp_path):
+        header, row = self.header_and_row(tmp_path)
+        p = tmp_path / "long.csv"
+        p.write_text("%s\n%s\n%s,surplus\n" % (header, row, row), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"row 3 in .*long\.csv: expected 14 fields, got 15"):
+            read_results(p)
+
+    def test_short_row_rejected(self, tmp_path):
+        header, row = self.header_and_row(tmp_path)
+        p = tmp_path / "short.csv"
+        p.write_text("%s\n%s\n" % (header, row.rsplit(",", 1)[0]), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"row 2 in .*short\.csv: expected 14 fields, got 13"):
+            read_results(p)
+
     def test_json_mirror(self, tmp_path):
         results, _ = self.results()
         p = tmp_path / "results.json"
@@ -433,3 +457,34 @@ class TestWeightingIntegration:
     def test_compute_weights_contract_for_none(self):
         dist = class_frequencies(np.repeat([0, 1], [90, 10]))
         np.testing.assert_array_equal(compute_weights(dist, "none").weights, [1.0, 1.0])
+
+
+def _bits(row):
+    """A row's fields with floats as their IEEE bytes, so NaN and -0.0 compare exactly."""
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in astuple(row))
+
+
+# the text "nan" has no sign or payload, so NaN round-trips as Python's own float("nan")
+_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324]),
+)
+_texts = st.text(alphabet=st.sampled_from('ab ,"\n\r\'x+'), max_size=8)
+result_rows = st.builds(
+    BlockResult,
+    classifier=_texts, target=_texts,
+    filter_threshold=st.integers(-(2**40), 2**40), seed=st.integers(0, 2**40),
+    status=st.sampled_from(["ok", "skipped", "failed"]), reason=_texts,
+    cvcf=_scores, imbalance_ratio=_scores, necd=_scores, accuracy=_scores,
+    macro_f1=_scores, weighted_f1=_scores, train_seconds=_scores,
+    n_train=st.integers(0, 2**40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(result_rows, max_size=6))
+def test_results_csv_round_trip_is_bitwise(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "results.csv")
+        write_results(rows, path)
+        assert [_bits(r) for r in read_results(path)] == [_bits(r) for r in rows]

@@ -347,6 +347,15 @@ class TestSplitProperties:
         else:
             assert (tree.feature[0], tree.threshold[0]) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(tied_tables(), st.data())
+    def test_row_subset_presort_matches_a_fresh_sort(self, table, data):
+        x, _, _ = table
+        n = x.shape[0]
+        rows = np.flatnonzero(data.draw(hnp.arrays(np.bool_, n)))
+        filtered = trees._presort_rows(trees._presort(x), rows)
+        np.testing.assert_array_equal(filtered, trees._presort(x[rows]))
+
     @FAST
     @given(tied_tables(), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4))
     def test_block_budget_does_not_change_predictions(self, table, weights):
