@@ -25,8 +25,9 @@ config = ExperimentConfig(
                   "gbt": {"n_estimators": 15, "learning_rate": 0.25}},
 )
 results, summaries = run_sweep(config)
-print("sweep produced %d rows (%d skipped)" % (
-    len(results), sum(1 for r in results if r.status != "ok")))
+print("sweep produced %d rows (%d skipped, %d failed)" % (
+    len(results), sum(1 for r in results if r.status == "skipped"),
+    sum(1 for r in results if r.status == "failed")))
 
 out = Path("demo_out")
 out.mkdir(exist_ok=True)

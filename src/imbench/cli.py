@@ -137,7 +137,7 @@ def _cmd_train(args) -> int:
         params=result_params,
     )
     if block.status != "ok":
-        raise RuntimeError("block skipped: %s" % block.reason)
+        raise RuntimeError("block %s: %s" % (block.status, block.reason))
     print("classifier:     %s" % block.classifier)
     print("train samples:  %d" % block.n_train)
     print("train seconds:  %.4f" % block.train_seconds)
@@ -171,8 +171,9 @@ def _cmd_bench(args) -> int:
     config = load_experiment_config(args.config)
     results, summaries = run_sweep(config)
     write_results(results, args.out)
-    n_skipped = sum(1 for r in results if r.status != "ok")
-    print("wrote %d rows (%d skipped) -> %s" % (len(results), n_skipped, args.out))
+    n_skipped = sum(1 for r in results if r.status == "skipped")
+    n_failed = sum(1 for r in results if r.status == "failed")
+    print("wrote %d rows (%d skipped, %d failed) -> %s" % (len(results), n_skipped, n_failed, args.out))
     if args.json_out:
         write_results_json(results, args.json_out)
         print("json mirror -> %s" % args.json_out)

@@ -197,8 +197,8 @@ class SplitIndices:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
             parts.append(arr)
-        combined = np.concatenate(parts)
-        if combined.size != np.unique(combined).size:
+        combined = np.sort(np.concatenate(parts))
+        if np.any(combined[1:] == combined[:-1]):
             raise ValueError("split index sets overlap")
 
 

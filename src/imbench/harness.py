@@ -255,7 +255,7 @@ class BlockResult:
     target: str
     filter_threshold: int
     seed: int
-    status: str = "ok"          # "ok" | "skipped"
+    status: str = "ok"          # "ok" | "skipped" | "failed" (fit or predict raised)
     reason: str = ""
     cvcf: float = float("nan")
     imbalance_ratio: float = float("nan")
@@ -279,7 +279,9 @@ def run_block(
     params: dict | None = None,
 ) -> BlockResult:
     """One benchmark run; degenerate filtering or split preconditions turn
-    into a skipped result rather than an exception."""
+    into a skipped result, and an exception from the model's fit or predict
+    into a failed one (reason ``"<ExcType>: <message>"``), rather than an
+    exception."""
     cid = classifier_id(family, strategy)
     spec = get_family(family)
     merged = {**spec.default_params, **(params or {})}
@@ -301,14 +303,19 @@ def run_block(
     report = imbalance_report(dist)
     weights = compute_weights(dist, strategy, beta=beta)
 
-    t0 = time.perf_counter()
-    model = spec.fit(
-        train.features, train.labels, weights, merged, filtered.n_classes, seed,
-        x_val=val.features, y_val=val.labels,
-    )
-    seconds = time.perf_counter() - t0
-
-    pred = model.predict(test.features)
+    try:
+        t0 = time.perf_counter()
+        model = spec.fit(
+            train.features, train.labels, weights, merged, filtered.n_classes, seed,
+            x_val=val.features, y_val=val.labels,
+        )
+        seconds = time.perf_counter() - t0
+        pred = model.predict(test.features)
+    except Exception as exc:  # noqa: BLE001 - one failed fit must not abort the sweep
+        return BlockResult(
+            cid, target, filter_threshold, seed,
+            status="failed", reason="%s: %s" % (type(exc).__name__, exc),
+        )
     cm = confusion_matrix(test.labels, pred, n_classes=filtered.n_classes)
     f1 = f1_scores(cm)
     return BlockResult(
@@ -423,14 +430,15 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
 
 def summarize(results) -> list:
     """Mean/std (population) per (classifier, target, threshold) over the
-    ok runs; skipped runs are counted but excluded from the statistics."""
+    ok runs; skipped runs are counted in ``n_skipped``, and neither skipped
+    nor failed runs enter the statistics."""
     groups: dict = {}
     for r in results:
         groups.setdefault((r.target, r.filter_threshold, r.classifier), []).append(r)
     rows = []
     for (target, threshold, cid), rs in sorted(groups.items()):
         ok = [r for r in rs if r.status == "ok"]
-        n_skipped = len(rs) - len(ok)
+        n_skipped = sum(1 for r in rs if r.status == "skipped")
         if not ok:
             continue
 

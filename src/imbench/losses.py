@@ -56,9 +56,13 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _weight_vector(w) -> np.ndarray:
-    """Accept a ClassWeights or a plain array-like of per-class weights."""
-    return np.asarray(getattr(w, "weights", w), dtype=np.float64)
+def _weight_vector(w, n_classes: int) -> np.ndarray:
+    """Per-class weights from a ClassWeights or a plain array-like, as a
+    float64 vector of shape ``(n_classes,)``."""
+    wv = np.asarray(getattr(w, "weights", w), dtype=np.float64)
+    if wv.shape != (n_classes,):
+        raise ValueError("expected %d class weights, got shape %s" % (n_classes, wv.shape))
+    return wv
 
 
 def weighted_bce(y: np.ndarray, p: np.ndarray, w) -> tuple[float, np.ndarray]:
@@ -73,11 +77,9 @@ def weighted_bce(y: np.ndarray, p: np.ndarray, w) -> tuple[float, np.ndarray]:
     """
     y = np.asarray(y, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
-    wv = _weight_vector(w)
     if y.shape != p.shape or y.ndim != 1:
         raise ValueError("y and p must be matching 1-d vectors")
-    if wv.size != 2:
-        raise ValueError("binary loss needs exactly two class weights")
+    wv = _weight_vector(w, 2)
     pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     wy = wv[y]
     n = y.size
@@ -97,11 +99,9 @@ def weighted_cce(y: np.ndarray, p: np.ndarray, w) -> tuple[float, np.ndarray]:
     """
     y = np.asarray(y, dtype=np.int64)
     p = np.asarray(p, dtype=np.float64)
-    wv = _weight_vector(w)
     if p.ndim != 2 or y.ndim != 1 or y.size != p.shape[0]:
         raise ValueError("p must be (n, k) probabilities aligned with 1-d y")
-    if wv.size != p.shape[1]:
-        raise ValueError("weight vector length must equal the class count")
+    wv = _weight_vector(w, p.shape[1])
     n, k = p.shape
     pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     wy = wv[y]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .evaluation import confusion_matrix, f1_scores
-from .losses import bce_from_logits, cce_from_logits, sigmoid, softmax
+from .losses import _weight_vector, bce_from_logits, cce_from_logits, sigmoid, softmax
 from .trees import _MODEL_TYPES
 
 __all__ = [
@@ -99,7 +99,26 @@ class TrainHistory:
         return len(self.val_f1)
 
 
-class _Linear:
+class _Layer:
+    """A layer with trainable arrays: ``SLOTS`` pairs each parameter
+    attribute with the attribute holding its gradient.  Inside a
+    ``_Network`` both are views of the network's flat vectors, so
+    ``backward`` writes gradients in place and never rebinds them."""
+
+    SLOTS = ()
+
+    @property
+    def params(self):
+        return [getattr(self, p) for p, _ in self.SLOTS]
+
+    @property
+    def grads(self):
+        return [getattr(self, g) for _, g in self.SLOTS]
+
+
+class _Linear(_Layer):
+    SLOTS = (("w", "gw"), ("b", "gb"))
+
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         bound = 1.0 / math.sqrt(n_in)
         self.w = rng.uniform(-bound, bound, size=(n_in, n_out))
@@ -110,26 +129,22 @@ class _Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        self.gw = self._x.T @ g
-        self.gb = g.sum(axis=0)
+        np.matmul(self._x.T, g, out=self.gw)
+        np.add.reduce(g, 0, out=self.gb)
         return g @ self.w.T
 
-    @property
-    def params(self):
-        return [self.w, self.b]
 
-    @property
-    def grads(self):
-        return [self.gw, self.gb]
-
-
-class _BatchNorm:
+class _BatchNorm(_Layer):
     """1-d batch norm.  Training mode normalizes by biased batch statistics
     and maintains running statistics (unbiased variance); eval and frozen
     modes normalize by the running statistics treated as constants."""
+
+    SLOTS = (("gamma", "ggamma"), ("beta", "gbeta"))
 
     def __init__(self, width: int):
         self.gamma = np.ones(width)
@@ -143,40 +158,36 @@ class _BatchNorm:
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if train:
             n = x.shape[0]
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
+            mu = np.add.reduce(x, 0) / n
+            centered = x - mu
+            # the biased variance exactly as ndarray.var computes it
+            var = np.add.reduce(np.square(centered), 0) / n
             inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-            xhat = (x - mu) * inv_std
+            xhat = centered * inv_std
             unbiased = var * n / (n - 1) if n > 1 else var
             self.running_mean = (1.0 - _BN_MOMENTUM) * self.running_mean + _BN_MOMENTUM * mu
             self.running_var = (1.0 - _BN_MOMENTUM) * self.running_var + _BN_MOMENTUM * unbiased
-            self._cache = ("train", xhat, inv_std, x - mu)
+            self._cache = ("train", xhat, inv_std, centered)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + _BN_EPS)
             xhat = (x - self.running_mean) * inv_std
             self._cache = ("eval", xhat, inv_std, None)
-        return self.gamma * xhat + self.beta
+        out = self.gamma * xhat
+        out += self.beta
+        return out
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         mode, xhat, inv_std, centered = self._cache
-        self.ggamma = (g * xhat).sum(axis=0)
-        self.gbeta = g.sum(axis=0)
+        np.add.reduce(g * xhat, 0, out=self.ggamma)
+        np.add.reduce(g, 0, out=self.gbeta)
         gxhat = g * self.gamma
         if mode == "eval":
             return gxhat * inv_std
         n = g.shape[0]
         # standard train-mode backward through the batch statistics
-        gvar = np.sum(gxhat * centered, axis=0) * (-0.5) * inv_std**3
-        gmu = -np.sum(gxhat, axis=0) * inv_std + gvar * (-2.0 / n) * centered.sum(axis=0)
+        gvar = np.add.reduce(gxhat * centered, 0) * (-0.5) * inv_std**3
+        gmu = -np.add.reduce(gxhat, 0) * inv_std + gvar * (-2.0 / n) * np.add.reduce(centered, 0)
         return gxhat * inv_std + gvar * (2.0 / n) * centered + gmu / n
-
-    @property
-    def params(self):
-        return [self.gamma, self.beta]
-
-    @property
-    def grads(self):
-        return [self.ggamma, self.gbeta]
 
 
 class _ReLU:
@@ -249,7 +260,12 @@ class _ResidualBlock:
 
 
 class _Network:
-    """The bare network: parameters, forward, backward."""
+    """The bare network: parameters, forward, backward.
+
+    Every parameter is a view of one flat vector, ``flat_params``, and every
+    gradient a view of ``flat_grads``, in ``parameters()`` order, so the
+    optimizer updates the whole network in one pass.
+    """
 
     def __init__(self, cfg: ResNetConfig):
         rng = np.random.default_rng(cfg.seed)
@@ -269,6 +285,16 @@ class _Network:
             self.reduce_lin = None
             self.reduce_relu = None
             self.output_lin = _Linear(h, out_width, rng)
+        slots = [(layer, p, g) for layer in self._layers() for p, g in layer.SLOTS]
+        self.flat_params = np.concatenate([getattr(layer, p).ravel() for layer, p, _ in slots])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        start = 0
+        for layer, p, g in slots:
+            arr = getattr(layer, p)
+            span = slice(start, start + arr.size)
+            setattr(layer, p, self.flat_params[span].reshape(arr.shape))
+            setattr(layer, g, self.flat_grads[span].reshape(arr.shape))
+            start += arr.size
 
     def _layers(self):
         layers = [self.input_lin, self.input_bn]
@@ -299,7 +325,7 @@ class _Network:
         return out
 
     def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+        return self.flat_params.size
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
         h = self.input_lin.forward(x)
@@ -335,29 +361,30 @@ class _Network:
 
 
 class _AdamW:
-    """Adam moments with decoupled weight decay; ``lr`` is mutable so the
-    plateau schedule can halve it in place."""
+    """Adam moments with decoupled weight decay over one flat parameter
+    vector, updated in place; ``lr`` is mutable so the plateau schedule can
+    halve it in place."""
 
-    def __init__(self, params: list, lr: float, weight_decay: float, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params: np.ndarray, lr: float, weight_decay: float, betas=(0.9, 0.999), eps=1e-8):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, grads: list) -> None:
+    def step(self, g: np.ndarray) -> None:
         self.t += 1
         b1t = 1.0 - self.b1**self.t
         b2t = 1.0 - self.b2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            p -= self.lr * ((m / b1t) / (np.sqrt(v / b2t) + self.eps) + self.weight_decay * p)
+        p, m, v = self.params, self.m, self.v
+        m *= self.b1
+        m += (1.0 - self.b1) * g
+        v *= self.b2
+        v += (1.0 - self.b2) * g * g
+        p -= self.lr * ((m / b1t) / (np.sqrt(v / b2t) + self.eps) + self.weight_decay * p)
 
 
 class TabResNetModel:
@@ -446,16 +473,14 @@ def nn_fit(
     y_train = np.asarray(y_train, dtype=np.int64)
     x_val = np.asarray(x_val, dtype=np.float64)
     y_val = np.asarray(y_val, dtype=np.int64)
-    wv = np.asarray(getattr(weights, "weights", weights), dtype=np.float64)
-    if wv.size != cfg.n_classes:
-        raise ValueError("expected %d class weights, got %d" % (cfg.n_classes, wv.size))
+    wv = _weight_vector(weights, cfg.n_classes)
     if x_train.shape[1] != cfg.n_features:
         raise ValueError("config n_features=%d but data has %d" % (cfg.n_features, x_train.shape[1]))
 
     t0 = time.perf_counter()
     model = nn_build(cfg)
     net = model.net
-    opt = _AdamW(net.parameters(), cfg.learning_rate, cfg.weight_decay)
+    opt = _AdamW(net.flat_params, cfg.learning_rate, cfg.weight_decay)
     data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     history = model.history
 
@@ -479,7 +504,7 @@ def nn_fit(
                     % (epoch, n_batches, opt.lr)
                 )
             net.backward(grad)
-            opt.step(net.gradients())
+            opt.step(net.flat_grads)
             epoch_loss += loss
             n_batches += 1
         val_f1 = _weighted_val_f1(model, x_val, y_val)
@@ -542,22 +567,20 @@ def gradient_check(cfg: ResNetConfig, n_samples: int = 8, seed: int = 0, h: floa
     else:
         _, grad = cce_from_logits(y, logits, wv)
         net.backward(grad)
-    analytic = [g.copy() for g in net.gradients()]
+    analytic = net.flat_grads.copy()
 
+    flat = net.flat_params
     max_rel = 0.0
-    for p, g in zip(net.parameters(), analytic):
-        flat = p.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_at()
-            flat[i] = orig - h
-            down = loss_at()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            max_rel = max(max_rel, abs(gflat[i] - numeric) / denom)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        up = loss_at()
+        flat[i] = orig - h
+        down = loss_at()
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * h)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        max_rel = max(max_rel, abs(analytic[i] - numeric) / denom)
     return max_rel
 
 

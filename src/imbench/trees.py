@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .losses import one_hot, softmax
+from .losses import _weight_vector, one_hot, softmax
 
 __all__ = [
     "TreeParams", "ForestParams", "GbtParams", "Tree", "DecisionTreeModel", "RandomForestModel",
@@ -172,13 +172,6 @@ class Tree:
             raise ValueError("tree uses the nested node layout ({feature, threshold, left, right} / {scores} "
                              "objects), which this version no longer reads; refit and save the model again")
         return Tree(obj["feature"], obj["threshold"], obj["left"], obj["right"], obj["value"])
-
-
-def _weight_vector(w, n_classes: int) -> np.ndarray:
-    wv = np.asarray(getattr(w, "weights", w), dtype=np.float64)
-    if wv.shape != (n_classes,):
-        raise ValueError("expected %d class weights, got shape %s" % (n_classes, wv.shape))
-    return wv
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

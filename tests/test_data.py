@@ -303,6 +303,47 @@ class TestStratifiedSplit:
         with pytest.raises(ValueError, match="overlap"):
             SplitIndices(train=np.array([0, 1]), val=np.array([1]), test=np.array([2]))
 
+    def test_duplicate_within_one_set_and_negative_indices(self):
+        from imbench import SplitIndices
+
+        with pytest.raises(ValueError, match="split index sets overlap"):
+            SplitIndices(train=np.array([4, 0, 4]), val=np.array([1]), test=np.array([2]))
+        with pytest.raises(ValueError, match="split index sets overlap"):
+            SplitIndices(train=np.array([-3, 5]), val=np.array([0]), test=np.array([-3]))
+        split = SplitIndices(train=np.array([-3, 5]), val=np.array([-1]), test=np.array([], dtype=np.int64))
+        assert split.train.tolist() == [-3, 5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-20, 20), max_size=12), min_size=3, max_size=3))
+    def test_overlap_check_matches_a_set_oracle(self, parts):
+        from imbench import SplitIndices
+
+        combined = [i for part in parts for i in part]
+        arrays = [np.array(p, dtype=np.int64) for p in parts]
+        if len(set(combined)) < len(combined):
+            with pytest.raises(ValueError, match="split index sets overlap"):
+                SplitIndices(*arrays)
+        else:
+            SplitIndices(*arrays)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(3, 60), min_size=2, max_size=6),
+        st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 10)),
+        st.integers(0, 2**16),
+    )
+    def test_split_partitions_rows_with_per_class_counts_within_one(self, counts, weights, seed):
+        rng = np.random.default_rng(seed)
+        data = make_dataset(rng.permutation(np.repeat(np.arange(len(counts)), counts)))
+        fractions = tuple(w / sum(weights) for w in weights)
+        split = stratified_split(data, fractions=fractions, seed=seed)
+        parts = (split.train, split.val, split.test)
+        combined = np.sort(np.concatenate(parts))
+        np.testing.assert_array_equal(combined, np.arange(data.n_samples))
+        for k, n_k in enumerate(counts):
+            for part, f in zip(parts, fractions):
+                assert abs(np.sum(data.labels[part] == k) - n_k * f) <= 1.0
+
 
 class TestFilterMinClassCount:
     def test_drops_rare_classes(self):

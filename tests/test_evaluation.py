@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbench import accuracy, confusion_matrix, f1_scores
 
@@ -108,6 +110,18 @@ class TestF1Scores:
             s = f1_scores(confusion_matrix(y_true, y_pred, n_classes=3))
             assert np.all(s.per_class >= 0) and np.all(s.per_class <= 1)
             assert 0.0 <= s.macro <= 1.0 and 0.0 <= s.weighted <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(
+        lambda k: st.tuples(st.just(k), st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                                 min_size=1, max_size=60))))
+    def test_every_f1_lies_in_unit_interval(self, case):
+        n_classes, pairs = case
+        y_true, y_pred = (np.array(col) for col in zip(*pairs))
+        s = f1_scores(confusion_matrix(y_true, y_pred, n_classes=n_classes))
+        assert s.per_class.shape == (n_classes,)
+        assert np.all((s.per_class >= 0.0) & (s.per_class <= 1.0))
+        assert 0.0 <= s.macro <= 1.0 and 0.0 <= s.weighted <= 1.0
 
     def test_macro_vs_weighted_under_skew(self):
         """A model that only gets the majority right fares much better on the

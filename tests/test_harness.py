@@ -57,6 +57,22 @@ def majority_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None)
     return _MajorityModel(int(counts.argmax()), n_classes)
 
 
+def flaky_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    """Fails on odd seeds, the way a network whose loss turns non-finite does."""
+    if seed % 2:
+        raise RuntimeError("non-finite training loss at epoch 0, batch 3 (lr=0.1)")
+    return majority_fit(x, y, weights, params, n_classes, seed)
+
+
+class _BrokenPredictModel(_MajorityModel):
+    def predict(self, x):
+        raise ValueError("cannot predict")
+
+
+def broken_predict_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    return _BrokenPredictModel(0, n_classes)
+
+
 def rows_match(a, b, ignore=("train_seconds",)):
     da, db = asdict(a), asdict(b)
     for key in da:
@@ -246,8 +262,52 @@ class TestRunBlock:
         assert abs(r.accuracy - 0.6) < 0.05
         assert r.macro_f1 < r.weighted_f1
 
+    def test_raising_fit_becomes_a_failed_row(self):
+        register_family("flaky", flaky_fit, {})
+        try:
+            r = run_block(self.data(), "flaky", "inverse", 1, seed=1)
+        finally:
+            unregister_family("flaky")
+        assert (r.classifier, r.filter_threshold, r.seed) == ("flaky+inverse", 1, 1)
+        assert r.status == "failed"
+        assert r.reason == "RuntimeError: non-finite training loss at epoch 0, batch 3 (lr=0.1)"
+        assert math.isnan(r.accuracy) and math.isnan(r.weighted_f1) and math.isnan(r.train_seconds)
+
+    def test_raising_predict_becomes_a_failed_row(self):
+        register_family("broken", broken_predict_fit, {})
+        try:
+            r = run_block(self.data(), "broken", "none", 1, seed=0)
+        finally:
+            unregister_family("broken")
+        assert r.status == "failed"
+        assert r.reason == "ValueError: cannot predict"
+
 
 class TestRunSweep:
+    def test_failed_fits_are_rows_and_workers_agree(self, tmp_path):
+        register_family("flaky", flaky_fit, {})
+        try:
+            config = small_config(families=("flaky", "dt"), n_runs=4)
+            serial, serial_summaries = run_sweep(config)
+            parallel, parallel_summaries = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
+        finally:
+            unregister_family("flaky")
+        assert len(serial) == len(parallel) == 8
+        assert all(rows_match(a, b) for a, b in zip(serial, parallel))
+        failed = [r for r in serial if r.status == "failed"]
+        assert [(r.classifier, r.seed) for r in failed] == [("flaky+none", 1), ("flaky+none", 3)]
+        assert all(r.reason.startswith("RuntimeError: non-finite training loss") for r in failed)
+        # failed rows enter neither the statistics nor the skipped count
+        by_classifier = {s.classifier: s for s in serial_summaries}
+        assert (by_classifier["flaky+none"].n_runs, by_classifier["flaky+none"].n_skipped) == (2, 0)
+        assert (by_classifier["dt+none"].n_runs, by_classifier["dt+none"].n_skipped) == (4, 0)
+        assert ([(s.classifier, s.n_runs, s.weighted_f1_mean) for s in serial_summaries]
+                == [(s.classifier, s.n_runs, s.weighted_f1_mean) for s in parallel_summaries])
+        # the failure reasons survive the results CSV
+        path = str(tmp_path / "results.csv")
+        write_results(serial, path)
+        assert [r.reason for r in read_results(path)] == [r.reason for r in serial]
+
     def test_row_and_summary_counts(self):
         config = small_config(
             families=("dt", "gbt"),

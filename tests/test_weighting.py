@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imbench import (
     STRATEGIES,
@@ -151,6 +153,23 @@ class TestSharedProperties:
             for strategy in ("inverse", "effective", "median"):
                 w = compute_weights(d, strategy).weights
                 assert w[hi] >= w[lo]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 5000), min_size=2, max_size=10), st.floats(0.0, 0.99999))
+    def test_weights_positive_for_every_strategy(self, counts, beta):
+        d = dist_of(counts)
+        for strategy in STRATEGIES:
+            w = compute_weights(d, strategy, beta=beta).weights
+            assert w.shape == (len(counts),)
+            assert np.all(np.isfinite(w)) and np.all(w > 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 10), st.integers(1, 5000), st.floats(0.0, 0.99999))
+    def test_balanced_input_gives_unit_weights_for_every_strategy(self, n_classes, count, beta):
+        d = dist_of([count] * n_classes)
+        for strategy in STRATEGIES:
+            # effective weights divide a K-term sum by K, so allow rounding
+            np.testing.assert_allclose(compute_weights(d, strategy, beta=beta).weights, 1.0, rtol=1e-12)
 
     def test_vectors_are_write_protected(self):
         w = weights_none(dist_of([10, 10]))
