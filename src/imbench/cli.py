@@ -13,13 +13,13 @@ import argparse
 import json
 import sys
 
-from .data import filter_min_class_count, load_csv, load_schema, preprocess, save_csv, schema_for, stratified_split
+from .data import load_csv, load_schema, preprocess, save_csv, schema_for, stratified_split
 from .harness import (
     block_matrix,
-    get_family,
+    fit_block,
     load_experiment_config,
     read_results,
-    run_block,
+    registered_families,
     run_sweep,
     summarize,
     write_degradation,
@@ -27,10 +27,11 @@ from .harness import (
     write_results_json,
     write_summary,
 )
-from .hpo import FAMILIES, HpoSpec, hpo_random_search
+from .hpo import HpoSpec, hpo_random_search
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import rank_analysis, render_cd, render_cd_text
 from .synth import SynthConfig, synth_generate
+from .trees import save_model
 from .weighting import STRATEGIES, compute_weights
 
 
@@ -125,8 +126,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     data, schema = _load_preprocessed(args.csv, args.schema)
-    result_params = json.loads(args.params) if args.params else {}
-    block = run_block(
+    block, model = fit_block(
         data,
         family=args.family,
         strategy=args.weighting,
@@ -134,7 +134,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         target=schema.label_column,
         beta=args.beta,
-        params=result_params,
+        params=json.loads(args.params) if args.params else {},
     )
     if block.status != "ok":
         raise RuntimeError("block %s: %s" % (block.status, block.reason))
@@ -145,25 +145,10 @@ def _cmd_train(args) -> int:
     print("macro F1:       %.4f" % block.macro_f1)
     print("weighted F1:    %.4f" % block.weighted_f1)
     if args.save_model:
-        # refit on the same split to keep the artifact identical to the run
-        filtered = filter_min_class_count(data, args.min_class_count)
-        split = stratified_split(filtered, seed=args.seed)
-        train = filtered.subset(split.train)
-        val = filtered.subset(split.val)
-        dist = class_frequencies(train.labels)
-        weights = compute_weights(dist, args.weighting, beta=args.beta)
-        spec = get_family(args.family)
-        model = spec.fit(
-            train.features, train.labels, weights,
-            {**spec.default_params, **result_params},
-            filtered.n_classes, args.seed, x_val=val.features, y_val=val.labels,
-        )
-        if hasattr(model, "to_dict"):
-            with open(args.save_model, "w", encoding="utf-8") as fh:
-                json.dump(model.to_dict(), fh)
-            print("model saved:    %s" % args.save_model)
-        else:
+        if not hasattr(model, "to_dict"):
             raise RuntimeError("family %r does not support serialization" % args.family)
+        save_model(model, args.save_model)
+        print("model saved:    %s" % args.save_model)
     return 0
 
 
@@ -276,11 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train and evaluate a single classifier")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--weighting", default="none", choices=STRATEGIES)
+    # train and hpo fit one family on one table
+    fit_args = argparse.ArgumentParser(add_help=False)
+    fit_args.add_argument("--csv", required=True)
+    fit_args.add_argument("--schema", required=True)
+    fit_args.add_argument("--family", required=True, choices=registered_families())
+    fit_args.add_argument("--weighting", default="none", choices=STRATEGIES)
+
+    p = sub.add_parser("train", parents=[fit_args], help="train and evaluate a single classifier")
     p.add_argument("--min-class-count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", type=float, default=0.9999)
@@ -308,11 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-text", default=None)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("hpo", help="random-search hyperparameter optimization")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--schema", required=True)
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--weighting", default="none", choices=STRATEGIES)
+    p = sub.add_parser("hpo", parents=[fit_args], help="random-search hyperparameter optimization")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)

@@ -21,7 +21,8 @@ import numpy as np
 
 from .data import Dataset, filter_min_class_count, load_csv, load_schema, preprocess, stratified_split
 from .evaluation import accuracy, confusion_matrix, f1_scores
-from .hpo import HpoSpec, fit_family, hpo_random_search
+from .hpo import (DEFAULT_FAMILIES, FamilySpec, HpoSpec, _install_families, alias_family, get_family,
+                  hpo_random_search, register_family, registered_families, unregister_family)
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import BlockMatrix
 from .synth import SynthConfig, synth_generate
@@ -38,6 +39,7 @@ __all__ = [
     "BlockResult",
     "SummaryRow",
     "classifier_id",
+    "fit_block",
     "run_block",
     "run_sweep",
     "summarize",
@@ -52,77 +54,6 @@ __all__ = [
 ]
 
 _FLOAT_FMT = "%.17g"
-
-
-# ---------------------------------------------------------------------------
-# classifier registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A registered model family: a fit callable plus default params.
-
-    ``fit(x, y, weights, params, n_classes, seed, x_val, y_val)`` must
-    return an object with ``predict(x)``.
-    """
-
-    name: str
-    fit: object
-    default_params: dict
-
-
-def _builtin_fit(family: str):
-    def fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
-        return fit_family(family, x, y, weights, params, n_classes, seed, x_val=x_val, y_val=y_val)
-
-    return fit
-
-
-_REGISTRY: dict = {}
-
-
-def register_family(name: str, fit, default_params: dict | None = None) -> None:
-    """Add (or replace) a model family; external additions welcome."""
-    _REGISTRY[name] = FamilySpec(name=name, fit=fit, default_params=dict(default_params or {}))
-
-
-def alias_family(new_name: str, existing: str) -> None:
-    """Register ``new_name`` as an exact duplicate of an existing family."""
-    spec = get_family(existing)
-    _REGISTRY[new_name] = FamilySpec(name=new_name, fit=spec.fit, default_params=dict(spec.default_params))
-
-
-def unregister_family(name: str) -> None:
-    _REGISTRY.pop(name, None)
-
-
-def registered_families() -> tuple:
-    return tuple(sorted(_REGISTRY))
-
-
-def get_family(name: str) -> FamilySpec:
-    if name not in _REGISTRY:
-        raise ValueError("unknown model family %r (registered: %s)" % (name, ", ".join(sorted(_REGISTRY))))
-    return _REGISTRY[name]
-
-
-register_family("dt", _builtin_fit("dt"), {"max_depth": 12})
-register_family("rf", _builtin_fit("rf"), {"n_estimators": 100, "max_depth": 12})
-register_family("gbt", _builtin_fit("gbt"), {"n_estimators": 200, "learning_rate": 0.1, "max_depth": 3})
-register_family(
-    "tabresnet",
-    _builtin_fit("tabresnet"),
-    {
-        "hidden_dim": 32,
-        "n_blocks": 2,
-        "dropout": 0.1,
-        "learning_rate": 1e-3,
-        "weight_decay": 1e-4,
-        "batch_size": 128,
-        "max_epochs": 200,
-    },
-)
 
 
 def classifier_id(family: str, strategy: str) -> str:
@@ -142,7 +73,7 @@ class ExperimentConfig:
     target: str = "label"
     filter_thresholds: tuple | None = None   # None -> default_threshold_ladder
     strategies: tuple = STRATEGIES
-    families: tuple = ("dt", "rf", "gbt", "tabresnet")
+    families: tuple = DEFAULT_FAMILIES
     n_runs: int = 10
     base_seed: int = 0
     fractions: tuple = (0.6, 0.2, 0.2)
@@ -206,7 +137,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         target=str(obj.get("target", "label")),
         filter_thresholds=(tuple(obj["filter_thresholds"]) if "filter_thresholds" in obj else None),
         strategies=tuple(obj.get("strategies", STRATEGIES)),
-        families=tuple(obj.get("families", ("dt", "rf", "gbt", "tabresnet"))),
+        families=tuple(obj.get("families", DEFAULT_FAMILIES)),
         n_runs=int(obj.get("n_runs", 10)),
         base_seed=int(obj.get("base_seed", 0)),
         fractions=tuple(obj.get("fractions", (0.6, 0.2, 0.2))),
@@ -267,7 +198,7 @@ class BlockResult:
     n_train: int = 0
 
 
-def run_block(
+def fit_block(
     data: Dataset,
     family: str,
     strategy: str,
@@ -277,11 +208,12 @@ def run_block(
     fractions=(0.6, 0.2, 0.2),
     beta: float = 0.9999,
     params: dict | None = None,
-) -> BlockResult:
-    """One benchmark run; degenerate filtering or split preconditions turn
-    into a skipped result, and an exception from the model's fit or predict
-    into a failed one (reason ``"<ExcType>: <message>"``), rather than an
-    exception."""
+) -> tuple:
+    """One benchmark run: ``(BlockResult, model)``, the model the result
+    scored, or None unless the status is "ok".  Degenerate filtering or split
+    preconditions turn into a skipped result, and an exception from the
+    model's fit or predict into a failed one (reason ``"<ExcType>:
+    <message>"``), rather than an exception."""
     cid = classifier_id(family, strategy)
     spec = get_family(family)
     merged = {**spec.default_params, **(params or {})}
@@ -289,7 +221,7 @@ def run_block(
         filtered = filter_min_class_count(data, filter_threshold)
         split = stratified_split(filtered, fractions=fractions, seed=seed)
     except ValueError as exc:
-        return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=str(exc))
+        return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=str(exc)), None
 
     train = filtered.subset(split.train)
     val = filtered.subset(split.val)
@@ -299,7 +231,7 @@ def run_block(
         return BlockResult(
             cid, target, filter_threshold, seed,
             status="skipped", reason="a class is missing from the training split",
-        )
+        ), None
     report = imbalance_report(dist)
     weights = compute_weights(dist, strategy, beta=beta)
 
@@ -315,7 +247,7 @@ def run_block(
         return BlockResult(
             cid, target, filter_threshold, seed,
             status="failed", reason="%s: %s" % (type(exc).__name__, exc),
-        )
+        ), None
     cm = confusion_matrix(test.labels, pred, n_classes=filtered.n_classes)
     f1 = f1_scores(cm)
     return BlockResult(
@@ -331,15 +263,16 @@ def run_block(
         weighted_f1=f1.weighted,
         train_seconds=seconds,
         n_train=train.n_samples,
-    )
+    ), model
+
+
+def run_block(*args, **kwargs) -> BlockResult:
+    """``fit_block``'s result without the model: the row a sweep records."""
+    return fit_block(*args, **kwargs)[0]
 
 
 def _run_block_task(args) -> BlockResult:
-    data, family, strategy, threshold, seed, target, fractions, beta, params = args
-    return run_block(
-        data, family, strategy, threshold, seed,
-        target=target, fractions=fractions, beta=beta, params=params,
-    )
+    return run_block(*args)
 
 
 @dataclass(frozen=True)
@@ -399,7 +332,8 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
     """Cartesian product of thresholds x strategies x families x runs.
 
     Returns (results, summaries) with rows in deterministic sorted order.
-    ``workers > 1`` fans blocks out to processes; use 1 for clean timing.
+    ``workers > 1`` fans blocks out to processes, which first register the
+    config's families (so any start method works); use 1 for clean timing.
     """
     if data is None:
         data = load_dataset(config)
@@ -407,20 +341,17 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
         ladder = default_threshold_ladder(class_frequencies(data.labels).counts)
         config = replace(config, filter_thresholds=ladder)
     params = _resolve_params(config, data)
-    tasks = []
-    for threshold in config.filter_thresholds:
-        for strategy in config.strategies:
-            for family in config.families:
-                for run in range(config.n_runs):
-                    tasks.append(
-                        (
-                            data, family, strategy, threshold, config.base_seed + run,
-                            config.target, config.fractions, config.beta,
-                            params[(family, threshold)],
-                        )
-                    )
+    tasks = [
+        (data, family, strategy, threshold, config.base_seed + run, config.target, config.fractions, config.beta,
+         params[(family, threshold)])
+        for threshold in config.filter_thresholds
+        for strategy in config.strategies
+        for family in config.families
+        for run in range(config.n_runs)
+    ]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        specs = [get_family(f) for f in config.families]
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_install_families, initargs=(specs,)) as pool:
             results = list(pool.map(_run_block_task, tasks, chunksize=1))
     else:
         results = [_run_block_task(t) for t in tasks]

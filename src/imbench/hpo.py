@@ -1,6 +1,10 @@
-"""Seeded random-search hyperparameter optimization with median pruning.
+"""The model-family registry, and seeded random-search hyperparameter
+optimization with median pruning.
 
-Each trial samples uniformly from the family's search space (log-uniform
+A family is defined once, as a ``FamilySpec`` registered here; sweeps, HPO,
+the CLI and ``load_model`` look it up by name.
+
+Each HPO trial samples uniformly from the family's search space (log-uniform
 for learning rate and weight decay) and is scored by mean weighted F1 over
 stratified cross-validation folds.  A trial whose running fold-mean drops
 below the median running mean of already-completed trials at the same fold
@@ -10,22 +14,178 @@ count is pruned.  Ties on the final mean resolve to the lowest trial index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .evaluation import confusion_matrix, f1_scores
 from .imbalance import class_frequencies
-from .tabresnet import ResNetConfig, hidden_dim_bounds, nn_fit
-from .trees import ForestParams, GbtParams, TreeParams, dt_fit, gbt_fit, rf_fit
+from .tabresnet import ResNetConfig, TabResNetModel, hidden_dim_bounds, nn_fit
+from .trees import (DecisionTreeModel, ForestParams, GbtParams, GradientBoostedModel, RandomForestModel, TreeParams,
+                    dt_fit, gbt_fit, rf_fit)
 from .weighting import compute_weights
 
-__all__ = ["HpoSpec", "TrialRecord", "HpoResult", "sample_params", "stratified_kfold", "hpo_random_search"]
+__all__ = ["FamilySpec", "DEFAULT_FAMILIES", "register_family", "alias_family", "unregister_family",
+           "registered_families", "get_family", "fit_family", "sample_params", "HpoSpec", "TrialRecord",
+           "HpoResult", "stratified_kfold", "hpo_random_search"]
 
-FAMILIES = ("dt", "rf", "gbt", "tabresnet")
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A model family.
+
+    ``fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None)``
+    returns an object with ``predict(x)``; a sweep with ``workers > 1``
+    pickles the spec, so ``fit`` must be a module-level function.
+    ``search_space(rng, n_features)`` draws one params dict for HPO, and
+    ``from_dict(obj)`` rebuilds a model from its ``to_dict()`` JSON for
+    ``load_model``; a family without them cannot be tuned or loaded.
+    """
+
+    name: str
+    fit: object
+    default_params: dict
+    search_space: object = None
+    from_dict: object = None
+
+
+_REGISTRY: dict = {}
+
+
+def register_family(name: str, fit, default_params: dict | None = None, search_space=None, from_dict=None) -> None:
+    """Add (or replace) a model family; external additions welcome."""
+    _REGISTRY[name] = FamilySpec(name, fit, dict(default_params or {}), search_space, from_dict)
+
+
+def alias_family(new_name: str, existing: str) -> None:
+    """Register ``new_name`` as an exact duplicate of an existing family."""
+    spec = get_family(existing)
+    _REGISTRY[new_name] = replace(spec, name=new_name, default_params=dict(spec.default_params))
+
+
+def unregister_family(name: str) -> None:
+    _REGISTRY.pop(name, None)
+
+
+def registered_families() -> tuple:
+    return tuple(sorted(_REGISTRY))
+
+
+def get_family(name: str) -> FamilySpec:
+    if name not in _REGISTRY:
+        raise ValueError("unknown model family %r (registered: %s)" % (name, ", ".join(sorted(_REGISTRY))))
+    return _REGISTRY[name]
+
+
+def _install_families(specs) -> None:
+    """Pool initializer: a spawned worker starts with the built-ins only."""
+    for spec in specs:
+        _REGISTRY[spec.name] = spec
+
 
 # fixed fractions offered alongside sqrt/log2 for forest feature subsampling
 _RF_FRACTIONS = (0.3, 0.5, 0.7, 1.0)
+
+
+def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+
+
+# Built-in fits are module-level, so a spec pickles by reference, and look their fit function up
+# in this module's globals at call time, so a wrapper put on that name (a tracer, say) sees each fit.
+def _fit_dt(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    return dt_fit(x, y, weights, TreeParams(**params), n_classes=n_classes, seed=seed)
+
+
+def _space_dt(rng, n_features):
+    return {
+        "max_depth": int(rng.integers(2, 33)),
+        "min_samples_split": int(rng.integers(2, 51)),
+        "min_samples_leaf": int(rng.integers(1, 21)),
+        "criterion": str(rng.choice(["gini", "entropy"])),
+    }
+
+
+def _fit_rf(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    return rf_fit(x, y, weights, ForestParams(**params), n_classes=n_classes, seed=seed)
+
+
+def _space_rf(rng, n_features):
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        max_features = "sqrt"
+    elif kind == 1:
+        max_features = "log2"
+    else:
+        max_features = float(rng.choice(_RF_FRACTIONS))
+    return {
+        "n_estimators": int(rng.integers(100, 1001)),
+        "max_depth": int(rng.integers(3, 26)),
+        "min_samples_split": int(rng.integers(2, 51)),
+        "min_samples_leaf": int(rng.integers(1, 21)),
+        "criterion": str(rng.choice(["gini", "entropy"])),
+        "max_features": max_features,
+    }
+
+
+def _fit_gbt(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    return gbt_fit(x, y, weights, GbtParams(**params), n_classes=n_classes, seed=seed)
+
+
+def _space_gbt(rng, n_features):
+    return {
+        "n_estimators": int(rng.integers(200, 1201)),
+        "learning_rate": _log_uniform(rng, 0.01, 0.3),
+        "max_depth": int(rng.integers(3, 13)),
+        "subsample": float(rng.uniform(0.6, 1.0)),
+        "colsample": float(rng.uniform(0.5, 1.0)),
+        "reg_alpha": float(rng.uniform(0.0, 5.0)),
+        "reg_lambda": float(rng.uniform(0.0, 5.0)),
+    }
+
+
+def _fit_tabresnet(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    if x_val is None or y_val is None:
+        raise ValueError("tabresnet requires a validation split for early stopping")
+    cfg = ResNetConfig(n_features=np.asarray(x).shape[1], n_classes=n_classes, seed=seed, **params)
+    return nn_fit(x, y, weights, cfg, x_val, y_val)
+
+
+def _space_tabresnet(rng, n_features):
+    lo, hi = hidden_dim_bounds(n_features)
+    return {
+        "learning_rate": _log_uniform(rng, 1e-6, 1e-1),
+        "weight_decay": _log_uniform(rng, 1e-7, 1e-2),
+        "batch_size": int(rng.integers(32, 1025)),
+        "n_blocks": int(rng.integers(1, 5)),
+        "hidden_dim": int(rng.integers(lo, hi + 1)),
+        "use_reduction": bool(rng.integers(0, 2)),
+    }
+
+
+register_family("dt", _fit_dt, {"max_depth": 12}, _space_dt, DecisionTreeModel.from_dict)
+register_family("rf", _fit_rf, {"n_estimators": 100, "max_depth": 12}, _space_rf, RandomForestModel.from_dict)
+register_family("gbt", _fit_gbt, {"n_estimators": 200, "learning_rate": 0.1, "max_depth": 3}, _space_gbt,
+                GradientBoostedModel.from_dict)
+register_family("tabresnet", _fit_tabresnet, {"hidden_dim": 32, "n_blocks": 2, "dropout": 0.1, "learning_rate": 1e-3,
+                                              "weight_decay": 1e-4, "batch_size": 128, "max_epochs": 200},
+                _space_tabresnet, TabResNetModel.from_dict)
+
+# the families a sweep runs unless its config names others, in registration order
+DEFAULT_FAMILIES = tuple(_REGISTRY)
+
+
+def fit_family(family: str, x, y, weights, params: dict, n_classes: int, seed: int, x_val=None, y_val=None):
+    """Fit a registered family with exactly ``params``."""
+    return get_family(family).fit(x, y, weights, params, n_classes, seed, x_val=x_val, y_val=y_val)
+
+
+def sample_params(family: str, rng: np.random.Generator, n_features: int) -> dict:
+    """Draw one configuration from the family's registered search space."""
+    space = get_family(family).search_space
+    if space is None:
+        raise ValueError("family %r has no search_space, so HPO cannot sample it" % family)
+    return space(rng, n_features)
 
 
 @dataclass(frozen=True)
@@ -64,58 +224,6 @@ class HpoResult:
     trials: list
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-
-def sample_params(family: str, rng: np.random.Generator, n_features: int) -> dict:
-    """Draw one configuration from the family's search space."""
-    if family == "dt":
-        return {
-            "max_depth": int(rng.integers(2, 33)),
-            "min_samples_split": int(rng.integers(2, 51)),
-            "min_samples_leaf": int(rng.integers(1, 21)),
-            "criterion": str(rng.choice(["gini", "entropy"])),
-        }
-    if family == "rf":
-        kind = int(rng.integers(0, 3))
-        if kind == 0:
-            max_features = "sqrt"
-        elif kind == 1:
-            max_features = "log2"
-        else:
-            max_features = float(rng.choice(_RF_FRACTIONS))
-        return {
-            "n_estimators": int(rng.integers(100, 1001)),
-            "max_depth": int(rng.integers(3, 26)),
-            "min_samples_split": int(rng.integers(2, 51)),
-            "min_samples_leaf": int(rng.integers(1, 21)),
-            "criterion": str(rng.choice(["gini", "entropy"])),
-            "max_features": max_features,
-        }
-    if family == "gbt":
-        return {
-            "n_estimators": int(rng.integers(200, 1201)),
-            "learning_rate": _log_uniform(rng, 0.01, 0.3),
-            "max_depth": int(rng.integers(3, 13)),
-            "subsample": float(rng.uniform(0.6, 1.0)),
-            "colsample": float(rng.uniform(0.5, 1.0)),
-            "reg_alpha": float(rng.uniform(0.0, 5.0)),
-            "reg_lambda": float(rng.uniform(0.0, 5.0)),
-        }
-    if family == "tabresnet":
-        lo, hi = hidden_dim_bounds(n_features)
-        return {
-            "learning_rate": _log_uniform(rng, 1e-6, 1e-1),
-            "weight_decay": _log_uniform(rng, 1e-7, 1e-2),
-            "batch_size": int(rng.integers(32, 1025)),
-            "n_blocks": int(rng.integers(1, 5)),
-            "hidden_dim": int(rng.integers(lo, hi + 1)),
-            "use_reduction": bool(rng.integers(0, 2)),
-        }
-    raise ValueError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
-
-
 def stratified_kfold(y: np.ndarray, n_folds: int, seed: int) -> list:
     """Index arrays of ``n_folds`` class-balanced folds.
 
@@ -133,27 +241,6 @@ def stratified_kfold(y: np.ndarray, n_folds: int, seed: int) -> list:
         for f in range(n_folds):
             folds[f].append(idx[f::n_folds])
     return [np.sort(np.concatenate(parts)) for parts in folds]
-
-
-def fit_family(family: str, x, y, weights, params: dict, n_classes: int, seed: int, x_val=None, y_val=None):
-    """Uniform fit entry point used by HPO and the bench harness."""
-    if family == "dt":
-        return dt_fit(x, y, weights, TreeParams(**params), n_classes=n_classes, seed=seed)
-    if family == "rf":
-        return rf_fit(x, y, weights, ForestParams(**params), n_classes=n_classes, seed=seed)
-    if family == "gbt":
-        return gbt_fit(x, y, weights, GbtParams(**params), n_classes=n_classes, seed=seed)
-    if family == "tabresnet":
-        if x_val is None or y_val is None:
-            raise ValueError("tabresnet requires a validation split for early stopping")
-        cfg = ResNetConfig(
-            n_features=np.asarray(x).shape[1],
-            n_classes=n_classes,
-            seed=seed,
-            **params,
-        )
-        return nn_fit(x, y, weights, cfg, x_val, y_val)
-    raise ValueError("unknown family %r (expected one of %s)" % (family, ", ".join(FAMILIES)))
 
 
 def _fold_score(family, x, y, n_classes, params, strategy, beta, train_idx, val_idx, seed) -> float:
@@ -185,11 +272,12 @@ def hpo_random_search(
     beta: float = 0.9999,
     n_classes: int | None = None,
 ) -> HpoResult:
-    """Random-search HPO for one model family on one dataset.
+    """Random-search HPO for one registered family with a search space.
 
     Class weights follow ``strategy`` and are recomputed on each fold's
-    training portion.  For tabresnet the held-out fold doubles as the
-    early-stopping validation split, matching the validation-F1 objective.
+    training portion.  The held-out fold is also each fit's validation
+    split, which tabresnet's early stopping uses, matching the
+    validation-F1 objective.
     """
     spec = spec or HpoSpec()
     x = np.asarray(x, dtype=np.float64)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .evaluation import confusion_matrix, f1_scores
 from .losses import _weight_vector, bce_from_logits, cce_from_logits, sigmoid, softmax
-from .trees import _MODEL_TYPES
 
 __all__ = [
     "ResNetConfig",
@@ -582,7 +581,3 @@ def gradient_check(cfg: ResNetConfig, n_samples: int = 8, seed: int = 0, h: floa
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)
         max_rel = max(max_rel, abs(analytic[i] - numeric) / denom)
     return max_rel
-
-
-# make the network loadable through the shared save_model/load_model JSON path
-_MODEL_TYPES["tabresnet"] = TabResNetModel

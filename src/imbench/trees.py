@@ -571,20 +571,19 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     return GradientBoostedModel(rounds, log_priors, params, n_classes, train_seconds=time.perf_counter() - t0)
 
 
-_MODEL_TYPES = {m.family: m for m in (DecisionTreeModel, RandomForestModel, GradientBoostedModel)}
-
-
 def save_model(model, path) -> None:
-    """Write a fitted tree model to its JSON form (see README)."""
+    """Write a fitted model to its JSON form (see README)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model.to_dict(), fh)
 
 
 def load_model(path):
-    """Reload a model written by ``save_model``; predictions are identical."""
+    """Reload a model written by ``save_model`` via its family's ``from_dict``; predictions are identical."""
+    from .hpo import get_family  # deferred: the registry imports this module
+
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    family = obj.get("family")
-    if family not in _MODEL_TYPES:
-        raise ValueError("unknown model family %r in %s" % (family, path))
-    return _MODEL_TYPES[family].from_dict(obj)
+    spec = get_family(obj.get("family"))
+    if spec.from_dict is None:
+        raise ValueError("model family %r has no from_dict, so %s cannot be loaded" % (spec.name, path))
+    return spec.from_dict(obj)

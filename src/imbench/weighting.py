@@ -83,7 +83,7 @@ def weights_effective(dist: LabelDistribution, beta: float = 0.9999) -> ClassWei
     counts = dist.counts.astype(np.float64)
     if np.any(counts == 0):
         raise ValueError("effective-number weighting undefined for zero-count classes")
-    if beta == 0.0:
+    if 1.0 - beta == 1.0:  # beta = 0, or so small that log1p(-1) would divide by zero
         eff = np.ones_like(counts)
     else:
         # expm1/log1p form is accurate for beta close to 1

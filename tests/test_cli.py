@@ -7,13 +7,18 @@ import numpy as np
 import pytest
 
 from imbench import (
+    alias_family,
     class_frequencies,
+    confusion_matrix,
+    f1_scores,
     imbalance_report,
     load_csv,
     load_model,
     load_schema,
     preprocess,
     read_results,
+    stratified_split,
+    unregister_family,
 )
 from imbench.cli import main
 
@@ -136,12 +141,30 @@ class TestTrain:
                      "--params", '{"n_estimators": 4, "learning_rate": 0.3}',
                      "--save-model", model_path])
         assert code == 0
-        assert "model saved:" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "model saved:" in out
         model = load_model(model_path)
         data = load_ready(csv, schema)
         preds = model.predict(data.features[:25])
         assert preds.shape == (25,)
         assert set(np.unique(preds)) <= {0, 1, 2}
+        # the saved model is the evaluated one: it reproduces the printed test score
+        test = data.subset(stratified_split(data, seed=0).test)
+        cm = confusion_matrix(test.labels, model.predict(test.features), n_classes=data.n_classes)
+        assert "weighted F1:    %.4f" % f1_scores(cm).weighted in out
+
+    def test_registered_family_is_accepted(self, dataset, capsys):
+        csv, schema = dataset
+        alias_family("dt2", "dt")
+        try:
+            assert main(["train", "--csv", csv, "--schema", schema, "--family", "dt2"]) == 0
+            assert "classifier:     dt2+none" in capsys.readouterr().out
+            code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt2",
+                         "--trials", "2", "--folds", "2"])
+        finally:
+            unregister_family("dt2")
+        assert code == 0
+        assert "best params:" in capsys.readouterr().out
 
     def test_unknown_family_is_usage_error(self, dataset, capsys):
         csv, schema = dataset

@@ -1,10 +1,13 @@
 """Benchmark harness: registry, block runs, sweeps, summaries, persistence."""
 
+import functools
 import json
 import math
+import multiprocessing
 import os
 import struct
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -27,6 +30,7 @@ from imbench import (
     get_family,
     imbalance_report,
     load_experiment_config,
+    load_model,
     read_results,
     register_family,
     registered_families,
@@ -40,6 +44,7 @@ from imbench import (
     write_results_json,
     write_summary,
 )
+from imbench import harness
 from tests.conftest import make_blobs
 
 
@@ -128,6 +133,23 @@ class TestRegistry:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown model family"):
             get_family("nope")
+
+    def test_load_model_uses_the_registered_from_dict(self, tmp_path):
+        path = tmp_path / "majority.json"
+        path.write_text(json.dumps({"family": "majority", "label": 2, "n_classes": 3}), encoding="utf-8")
+        register_family("majority", majority_fit, {},
+                        from_dict=lambda obj: _MajorityModel(obj["label"], obj["n_classes"]))
+        try:
+            model = load_model(path)
+        finally:
+            unregister_family("majority")
+        assert model.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
+        register_family("majority", majority_fit, {})
+        try:
+            with pytest.raises(ValueError, match="'majority' has no from_dict"):
+                load_model(path)
+        finally:
+            unregister_family("majority")
 
     def test_classifier_id_format(self):
         assert classifier_id("dt", "inverse") == "dt+inverse"
@@ -353,6 +375,23 @@ class TestRunSweep:
         serial, _ = run_sweep(config)
         parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
         assert len(serial) == len(parallel)
+        assert all(rows_match(a, b) for a, b in zip(serial, parallel))
+
+    def test_registered_families_reach_spawned_workers(self, monkeypatch):
+        """A spawned worker imports only the built-in families; the sweep
+        hands it the aliased and the registered one."""
+        spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn_pool)
+        alias_family("dt2", "dt")
+        register_family("majority", majority_fit, {})
+        try:
+            config = small_config(families=("dt2", "majority"), n_runs=2, model_params={"dt2": {"max_depth": 4}})
+            serial, _ = run_sweep(config)
+            parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
+        finally:
+            unregister_family("dt2")
+            unregister_family("majority")
+        assert len(serial) == 4 and all(r.status == "ok" for r in serial)
         assert all(rows_match(a, b) for a, b in zip(serial, parallel))
 
     def test_hpo_path_updates_params(self):

@@ -10,11 +10,14 @@ from imbench import (
     ResNetConfig,
     TreeParams,
     TrialRecord,
+    alias_family,
     fit_family,
     hidden_dim_bounds,
     hpo_random_search,
+    register_family,
     sample_params,
     stratified_kfold,
+    unregister_family,
 )
 from tests.conftest import make_blobs
 
@@ -210,6 +213,32 @@ class TestRandomSearch:
         b = hpo_random_search("dt", data.features, data.labels, spec=spec)
         assert a.best_params == b.best_params and a.best_score == b.best_score
         assert [t.status for t in a.trials] == [t.status for t in b.trials]
+
+    def test_aliased_family_searches_like_its_original(self):
+        x, y = parity_dataset(copies=12)
+        spec = HpoSpec(n_trials=8, cv_folds=3, seed=4)
+        alias_family("dt2", "dt")
+        try:
+            alias = hpo_random_search("dt2", x, y, spec=spec)
+        finally:
+            unregister_family("dt2")
+        base = hpo_random_search("dt", x, y, spec=spec)
+        assert alias.family == "dt2"
+        assert [(t.params, t.fold_scores, t.status) for t in alias.trials] == [
+            (t.params, t.fold_scores, t.status) for t in base.trials
+        ]
+        assert (alias.best_params, alias.best_score, alias.best_trial) == (
+            base.best_params, base.best_score, base.best_trial
+        )
+
+    def test_family_without_search_space_rejected(self):
+        x, y = parity_dataset(copies=4)
+        register_family("fixed", lambda *args, **kwargs: None)
+        try:
+            with pytest.raises(ValueError, match="'fixed' has no search_space"):
+                hpo_random_search("fixed", x, y, spec=HpoSpec(n_trials=2, cv_folds=2))
+        finally:
+            unregister_family("fixed")
 
     def test_scores_are_valid_f1_values(self):
         data = make_blobs(150, 3, 4, 2.0, seed=2)

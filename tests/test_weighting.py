@@ -1,5 +1,7 @@
 """Class-weighting schemes: frozen values and algebraic identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,13 @@ class TestEffective:
         np.testing.assert_array_equal(
             weights_effective(dist_of([90, 10]), beta=0.0).weights, [1.0, 1.0]
         )
+
+    def test_beta_below_rounding_is_unweighted_without_warning(self):
+        # 1 - 1e-20 rounds to 1, where the log1p form would divide by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = weights_effective(dist_of([90, 10]), beta=1e-20).weights
+        np.testing.assert_array_equal(w, [1.0, 1.0])
 
     def test_default_beta_9000_1000(self):
         np.testing.assert_allclose(
