@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -198,6 +199,43 @@ class BlockResult:
     n_train: int = 0
 
 
+# the slice prepared last, kept only while _run_slice runs:
+# [data, (filter_threshold, seed, fractions), _slice's result]
+_slice_memo = None
+# a sweep worker's dataset, set once by the pool initializer
+_worker_data = None
+
+
+def _slice(data: Dataset, filter_threshold: int, seed: int, fractions) -> tuple:
+    """The work a block shares with every block of its (threshold, seed)
+    slice: ``(train class distribution, its imbalance report, train, val,
+    test)``, or the reason the slice is skipped as a string.
+
+    Inside ``_run_slice`` the slice is kept, so its blocks filter and split
+    once.  A ``Dataset`` is immutable, so the same object gives the same
+    slice.
+    """
+    key = (filter_threshold, seed, tuple(fractions))
+    memo = _slice_memo
+    if memo is not None and memo[0] is data and memo[1] == key:
+        return memo[2]
+    try:
+        filtered = filter_min_class_count(data, filter_threshold)
+        split = stratified_split(filtered, fractions=fractions, seed=seed)
+    except ValueError as exc:
+        prepared = str(exc)
+    else:
+        train = filtered.subset(split.train)
+        dist = class_frequencies(train.labels)
+        if dist.n_classes != filtered.n_classes:
+            prepared = "a class is missing from the training split"
+        else:
+            prepared = dist, imbalance_report(dist), train, filtered.subset(split.val), filtered.subset(split.test)
+    if memo is not None:
+        memo[:] = [data, key, prepared]
+    return prepared
+
+
 def fit_block(
     data: Dataset,
     family: str,
@@ -213,32 +251,21 @@ def fit_block(
     scored, or None unless the status is "ok".  Degenerate filtering or split
     preconditions turn into a skipped result, and an exception from the
     model's fit or predict into a failed one (reason ``"<ExcType>:
-    <message>"``), rather than an exception."""
+    <message>"``), rather than an exception.  Back-to-back calls on one
+    (threshold, seed) slice of the same ``data`` filter and split it once."""
     cid = classifier_id(family, strategy)
     spec = get_family(family)
     merged = {**spec.default_params, **(params or {})}
-    try:
-        filtered = filter_min_class_count(data, filter_threshold)
-        split = stratified_split(filtered, fractions=fractions, seed=seed)
-    except ValueError as exc:
-        return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=str(exc)), None
-
-    train = filtered.subset(split.train)
-    val = filtered.subset(split.val)
-    test = filtered.subset(split.test)
-    dist = class_frequencies(train.labels)
-    if dist.n_classes != filtered.n_classes:
-        return BlockResult(
-            cid, target, filter_threshold, seed,
-            status="skipped", reason="a class is missing from the training split",
-        ), None
-    report = imbalance_report(dist)
+    prepared = _slice(data, filter_threshold, seed, fractions)
+    if isinstance(prepared, str):
+        return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=prepared), None
+    dist, report, train, val, test = prepared
     weights = compute_weights(dist, strategy, beta=beta)
 
     try:
         t0 = time.perf_counter()
         model = spec.fit(
-            train.features, train.labels, weights, merged, filtered.n_classes, seed,
+            train.features, train.labels, weights, merged, dist.n_classes, seed,
             x_val=val.features, y_val=val.labels,
         )
         seconds = time.perf_counter() - t0
@@ -248,7 +275,7 @@ def fit_block(
             cid, target, filter_threshold, seed,
             status="failed", reason="%s: %s" % (type(exc).__name__, exc),
         ), None
-    cm = confusion_matrix(test.labels, pred, n_classes=filtered.n_classes)
+    cm = confusion_matrix(test.labels, pred, n_classes=dist.n_classes)
     f1 = f1_scores(cm)
     return BlockResult(
         classifier=cid,
@@ -269,10 +296,6 @@ def fit_block(
 def run_block(*args, **kwargs) -> BlockResult:
     """``fit_block``'s result without the model: the row a sweep records."""
     return fit_block(*args, **kwargs)[0]
-
-
-def _run_block_task(args) -> BlockResult:
-    return run_block(*args)
 
 
 @dataclass(frozen=True)
@@ -328,12 +351,51 @@ def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
     return out
 
 
+def _install_worker(specs, data: Dataset) -> None:
+    """Pool initializer: register the sweep's families and keep its data, so
+    each worker receives the dataset once rather than with every task."""
+    global _worker_data
+    _install_families(specs)
+    _worker_data = data
+
+
+def _run_slice(data: Dataset, threshold: int, seed: int, blocks, target: str, fractions, beta: float) -> list:
+    """The rows of one (threshold, seed) slice, one ``run_block`` per
+    (family, strategy, params) in ``blocks``; the slice is prepared once."""
+    global _slice_memo
+    _slice_memo = [None, None, None]
+    try:
+        return [run_block(data, family, strategy, threshold, seed, target, fractions, beta, params)
+                for family, strategy, params in blocks]
+    finally:
+        _slice_memo = None
+
+
+def _run_slice_task(task) -> list:
+    return _run_slice(_worker_data, *task)
+
+
+def _check_picklable(specs) -> None:
+    """Fail before a pool starts if a family cannot reach its workers,
+    whatever the start method (fork would hide it)."""
+    for spec in specs:
+        try:
+            pickle.dumps(spec)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError("family %r cannot be sent to worker processes: its fit must be a module-level function"
+                             % spec.name) from exc
+
+
 def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
     """Cartesian product of thresholds x strategies x families x runs.
 
     Returns (results, summaries) with rows in deterministic sorted order.
-    ``workers > 1`` fans blocks out to processes, which first register the
-    config's families (so any start method works); use 1 for clean timing.
+    Each (threshold, seed) slice is one task whose blocks share one filter
+    and split; with fewer slices than workers, each slice's blocks are
+    dealt into enough tasks to keep every worker busy.  ``workers > 1``
+    fans tasks out to processes, which first register the config's
+    families and receive the data once (so any start method works, and
+    every family spec must pickle); use 1 for clean timing.
     """
     if data is None:
         data = load_dataset(config)
@@ -341,20 +403,24 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
         ladder = default_threshold_ladder(class_frequencies(data.labels).counts)
         config = replace(config, filter_thresholds=ladder)
     params = _resolve_params(config, data)
+    slices = [(threshold, config.base_seed + run)
+              for threshold in config.filter_thresholds for run in range(config.n_runs)]
+    blocks = [(family, strategy) for strategy in config.strategies for family in config.families]
+    parts = min(len(blocks), -(-config.workers // max(1, len(slices))))  # ceil(workers / slices)
     tasks = [
-        (data, family, strategy, threshold, config.base_seed + run, config.target, config.fractions, config.beta,
-         params[(family, threshold)])
-        for threshold in config.filter_thresholds
-        for strategy in config.strategies
-        for family in config.families
-        for run in range(config.n_runs)
+        (threshold, seed, [(family, strategy, params[(family, threshold)]) for family, strategy in blocks[part::parts]],
+         config.target, config.fractions, config.beta)
+        for threshold, seed in slices
+        for part in range(parts)
     ]
     if config.workers > 1:
         specs = [get_family(f) for f in config.families]
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_install_families, initargs=(specs,)) as pool:
-            results = list(pool.map(_run_block_task, tasks, chunksize=1))
+        _check_picklable(specs)
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_install_worker,
+                                 initargs=(specs, data)) as pool:
+            results = [r for rows in pool.map(_run_slice_task, tasks, chunksize=1) for r in rows]
     else:
-        results = [_run_block_task(t) for t in tasks]
+        results = [r for task in tasks for r in _run_slice(data, *task)]
     results.sort(key=lambda r: (r.target, r.filter_threshold, r.classifier, r.seed))
     return results, summarize(results)
 

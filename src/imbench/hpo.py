@@ -78,7 +78,7 @@ def get_family(name: str) -> FamilySpec:
 
 
 def _install_families(specs) -> None:
-    """Pool initializer: a spawned worker starts with the built-ins only."""
+    """Register ``specs`` in a sweep worker: a spawned one starts with the built-ins only."""
     for spec in specs:
         _REGISTRY[spec.name] = spec
 

@@ -1,0 +1,70 @@
+"""tools/bench_collect.py: pairing of run records and the pair statistics."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "bench_collect.py")
+_spec = importlib.util.spec_from_file_location("bench_collect", _PATH)
+bench_collect = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_collect)
+
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+           {"name": "macro_f1_mean", "unit": "score", "better": "higher", "bound": 0.2}]
+
+
+def write_run(root, name, workload, seed, wall, f1=0.5, digest="d", sha="a", trace=0, errors=()):
+    run_dir = os.path.join(root, ".bench_out", name)
+    os.makedirs(run_dir)
+    record = {
+        "environment": {"python": "3.11", "numpy": "2", "scipy": "1", "nproc": 2, "seconds": 30.0,
+                        "git_sha": sha, "seed": seed, "workload": workload, "size": "full", "trace": trace},
+        "platform": "x86_64",
+        "operations": [{"wall": wall, "parts": [{"name": "rows", "units": 4, "digest": digest, "error": ""}]}],
+        "errors": list(errors),
+        "metrics": {"wall_s": {"value": wall, "unit": "s"}, "macro_f1_mean": {"value": f1, "unit": "score"}},
+    }
+    with open(os.path.join(run_dir, "run.json"), "w", encoding="utf-8") as fh:
+        json.dump(record, fh)
+
+
+def test_pairs_by_seed_and_counts_wins(tmp_path):
+    parent, change = str(tmp_path / "p"), str(tmp_path / "c")
+    for seed, (p, c) in enumerate([(1.0, 0.8), (1.2, 0.9), (1.1, 1.1), (1.3, 1.4)]):
+        write_run(parent, "p%d" % seed, "sweep", seed, p, sha="parent")
+        write_run(change, "c%d" % seed, "sweep", seed, c, sha="change", digest="d" if seed else "other")
+    write_run(parent, "traced", "sweep", 0, 9.0, trace=1)   # traced runs are left out
+    write_run(change, "unpaired", "sweep", 9, 0.1)          # so is a seed run on one side only
+    write_run(change, "errors", "io", 1, 1.0, errors=["rows: outputs differ"])
+    write_run(parent, "io", "io", 1, 1.0)
+    bench = bench_collect.collect(bench_collect.load_runs(parent), bench_collect.load_runs(change), METRICS)
+    sweep = bench["workloads"]["sweep"]
+    assert sweep["seeds"] == [0, 1, 2, 3] and sweep["pairs"] == 4
+    assert sweep["outputs_identical"] == 3
+    wall = sweep["metrics"]["wall_s"]
+    assert (wall["change_wins"], wall["ties"]) == (2, 1)
+    assert wall["parent"] == {"q1": pytest.approx(1.075), "median": pytest.approx(1.15), "q3": pytest.approx(1.225)}
+    assert wall["change"]["median"] == pytest.approx(1.0)
+    assert not wall["claim_rule_met"]
+    # higher is better for F1: equal values are ties, not wins
+    assert sweep["metrics"]["macro_f1_mean"]["change_wins"] == 0
+    assert bench["workloads"]["io"]["runs_with_errors"] == {"parent": 0, "change": 1}
+    assert bench["parent_sha"] == ["a", "parent"] and bench["change_sha"] == ["a", "change"]
+
+
+def test_claim_rule_needs_nine_tenths_and_a_gap_beyond_the_parent_spread(tmp_path):
+    parent, change = str(tmp_path / "p"), str(tmp_path / "c")
+    for seed in range(10):
+        write_run(parent, "p%d" % seed, "sweep", seed, 1.0 + 0.01 * seed)
+        write_run(change, "c%d" % seed, "sweep", seed, 0.7 + 0.01 * seed if seed else 1.5)
+    wall = bench_collect.collect(bench_collect.load_runs(parent), bench_collect.load_runs(change),
+                                 METRICS)["workloads"]["sweep"]["metrics"]["wall_s"]
+    assert wall["change_wins"] == 9 and wall["claim_rule_met"]
+
+
+def test_no_common_run_is_an_error(tmp_path):
+    write_run(str(tmp_path / "p"), "p", "sweep", 0, 1.0)
+    with pytest.raises(ValueError, match="no workload and seed"):
+        bench_collect.collect(bench_collect.load_runs(str(tmp_path / "p")), {}, METRICS)

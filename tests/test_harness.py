@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from imbench import (
     BlockResult,
+    Dataset,
     ExperimentConfig,
     HpoSpec,
     SynthConfig,
@@ -76,6 +77,37 @@ class _BrokenPredictModel(_MajorityModel):
 
 def broken_predict_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
     return _BrokenPredictModel(0, n_classes)
+
+
+_PICKLED = []
+
+
+class _CountedDataset(Dataset):
+    """A Dataset that records each time it is pickled and unpickles as a
+    plain one."""
+
+    def __reduce__(self):
+        _PICKLED.append(1)
+        return Dataset, astuple(self)
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs its initializer and tasks
+    in this process and keeps the tasks."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        _InlinePool.tasks = list(tasks)
+        return map(fn, _InlinePool.tasks)
 
 
 def rows_match(a, b, ignore=("train_seconds",)):
@@ -379,19 +411,95 @@ class TestRunSweep:
 
     def test_registered_families_reach_spawned_workers(self, monkeypatch):
         """A spawned worker imports only the built-in families; the sweep
-        hands it the aliased and the registered one."""
+        hands it the aliased and the registered one, and the data once."""
         spawn_pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn_pool)
         alias_family("dt2", "dt")
         register_family("majority", majority_fit, {})
         try:
-            config = small_config(families=("dt2", "majority"), n_runs=2, model_params={"dt2": {"max_depth": 4}})
-            serial, _ = run_sweep(config)
-            parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
+            config = small_config(families=("dt2", "majority"), n_runs=3, model_params={"dt2": {"max_depth": 4}})
+            data = _CountedDataset(*astuple(harness.load_dataset(config)))
+            serial, _ = run_sweep(config, data)
+            assert _PICKLED == []
+            parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}), data)
         finally:
             unregister_family("dt2")
             unregister_family("majority")
-        assert len(serial) == 4 and all(r.status == "ok" for r in serial)
+            pickled = len(_PICKLED)
+            _PICKLED.clear()
+        assert len(serial) == 6 and all(r.status == "ok" for r in serial)
+        assert all(rows_match(a, b) for a, b in zip(serial, parallel))
+        assert 1 <= pickled <= 2  # once per worker, not once per task (3 slices)
+
+    def test_unpicklable_family_is_named_before_the_pool_starts(self):
+        register_family("lambda_fit", lambda *args, **kwargs: majority_fit(*args, **kwargs), {})
+        try:
+            with pytest.raises(ValueError, match="family 'lambda_fit' cannot be sent to worker processes: "
+                                                 "its fit must be a module-level function"):
+                run_sweep(small_config(families=("lambda_fit",), n_runs=2, workers=2))
+        finally:
+            unregister_family("lambda_fit")
+
+    def test_each_slice_is_filtered_and_split_once(self, monkeypatch):
+        """A serial sweep prepares each (threshold, seed) slice once, runs
+        every block through run_block, and gives the rows that independent
+        fit_block calls give."""
+        calls = {"filter": 0, "split": 0, "block": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "filter_min_class_count", counted("filter", filter_min_class_count))
+        monkeypatch.setattr(harness, "stratified_split", counted("split", stratified_split))
+        monkeypatch.setattr(harness, "run_block", counted("block", run_block))
+        config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
+                              filter_thresholds=(1, 60, 200), n_runs=3)
+        register_family("majority", majority_fit, {})
+        try:
+            data = harness.load_dataset(config)
+            results, _ = run_sweep(config, data)
+            assert calls == {"filter": 3 * 3, "split": 2 * 3, "block": 3 * 3 * 2 * 2}  # 200 fails the filter
+            # one slice at a time from here, seed innermost, so no call reuses the last slice
+            independent = {
+                (r.classifier, r.filter_threshold, r.seed): r
+                for family in config.families for strategy in config.strategies
+                for threshold in config.filter_thresholds for seed in range(3)
+                for r in [harness.fit_block(data, family, strategy, threshold, seed,
+                                            params=config.model_params.get(family))[0]]
+            }
+        finally:
+            unregister_family("majority")
+        assert calls["split"] == 2 * 3 + 2 * 2 * 2 * 3
+        assert harness._slice_memo is None  # a direct fit_block call keeps no slice
+        assert len(results) == len(independent) == 36
+        assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
+        assert sum(r.status == "skipped" for r in results) == 12
+
+    @pytest.mark.parametrize("n_thresholds, n_runs, workers, n_tasks", [
+        (1, 1, 2, 2),  # one slice, two workers: its four blocks make two tasks
+        (1, 1, 8, 4),  # no more tasks than blocks
+        (1, 2, 3, 4),  # two slices, three workers: each slice makes two tasks
+        (1, 3, 2, 3),  # slices outnumber workers: one task each
+    ])
+    def test_slices_fewer_than_workers_are_dealt_out(self, monkeypatch, n_thresholds, n_runs, workers, n_tasks):
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(harness, "_worker_data", None)
+        config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
+                              filter_thresholds=(1, 60)[:n_thresholds], n_runs=n_runs)
+        register_family("majority", majority_fit, {})
+        try:
+            serial, _ = run_sweep(config)
+            parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": workers}))
+        finally:
+            unregister_family("majority")
+        blocks = [sorted((family, strategy) for family, strategy, _ in task[2]) for task in _InlinePool.tasks]
+        assert len(blocks) == n_tasks
+        assert sorted(b for task in blocks for b in task) == sorted(
+            [(f, s) for f in config.families for s in config.strategies] * n_thresholds * n_runs)
+        assert len(serial) == len(parallel) == 4 * n_thresholds * n_runs
         assert all(rows_match(a, b) for a, b in zip(serial, parallel))
 
     def test_hpo_path_updates_params(self):

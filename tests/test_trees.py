@@ -9,7 +9,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from imbench import (
@@ -297,6 +297,43 @@ def tied_tables(draw, max_rows=40):
     return x, y, k
 
 
+@st.composite
+def presort_tables(draw):
+    """``(x, rows)``: a table of one to a few hundred rows and one to four
+    columns, drawn tie-heavy (small integers, +-0.0), with NaN and
+    infinities, or spread; and an ascending subset of its rows."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 4))
+    elements = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.sampled_from([0.0, -0.0, 1.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-1e3, 1e3),
+    ]))
+    x = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    return x, np.flatnonzero(draw(hnp.arrays(np.bool_, n)))
+
+
+@st.composite
+def rare_tie_tables(draw):
+    """``(x, rows)``: 512-3000 spread rows and one to three columns in which
+    a few cells repeat another cell or hold +-0.0, NaN or an infinity, so
+    that the presort's ~128-row sample often misses the tie; and an
+    ascending subset of its rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((draw(st.integers(512, 3000)), draw(st.integers(1, 3))))
+    k = draw(st.integers(1, 8))
+    x.flat[rng.integers(0, x.size, k)] = x.flat[rng.integers(0, x.size, k)]
+    x.flat[rng.integers(0, x.size, k)] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf], k)
+    return x, np.flatnonzero(rng.random(len(x)) < 0.5)
+
+
+# 600 distinct values whose odd rows, outside the presort's sample of even
+# rows, hold a three-way tie, NaNs and +-0.0
+_OFF_SAMPLE_TIES = np.arange(600.0, 0.0, -1.0)[:, None]
+_OFF_SAMPLE_TIES[[1, 3, 5, 7, 9, 11], 0] = [7.0, 7.0, np.nan, np.nan, -0.0, 0.0]
+
+
 def oracle_split(x, y, k, min_leaf):
     """Best (feature, threshold) by scoring every midpoint directly, or None.
 
@@ -355,6 +392,17 @@ class TestSplitProperties:
         rows = np.flatnonzero(data.draw(hnp.arrays(np.bool_, n)))
         filtered = trees._presort_rows(trees._presort(x), rows)
         np.testing.assert_array_equal(filtered, trees._presort(x[rows]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(presort_tables(), rare_tie_tables()))
+    @example((np.array([[np.nan, -0.0, 0.0, 1.0]]), np.array([0])))
+    @example((np.array([[0.0], [-0.0], [np.nan], [0.0], [np.nan], [-1.0]]), np.array([1, 2, 3])))
+    @example((_OFF_SAMPLE_TIES, np.arange(0, 600, 3)))
+    def test_presort_is_the_stable_argsort(self, table):
+        x, rows = table
+        expected = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
+        assert trees._presort(x).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(trees._presort_rows(trees._presort(x), rows), trees._presort(x[rows]))
 
     @FAST
     @given(tied_tables(), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4))
