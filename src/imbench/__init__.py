@@ -26,20 +26,15 @@ from .harness import (
     BlockResult,
     ExperimentConfig,
     SummaryRow,
-    alias_family,
     block_matrix,
     classifier_id,
     default_threshold_ladder,
-    get_family,
     load_dataset,
     load_experiment_config,
     read_results,
-    register_family,
-    registered_families,
     run_block,
     run_sweep,
     summarize,
-    unregister_family,
     write_degradation,
     write_results,
     write_results_json,
@@ -49,10 +44,15 @@ from .hpo import (
     HpoResult,
     HpoSpec,
     TrialRecord,
+    alias_family,
     fit_family,
+    get_family,
     hpo_random_search,
+    register_family,
+    registered_families,
     sample_params,
     stratified_kfold,
+    unregister_family,
 )
 from .imbalance import (
     ImbalanceReport,

@@ -15,11 +15,11 @@ import sys
 
 from .data import load_csv, load_schema, preprocess, save_csv, schema_for, stratified_split
 from .harness import (
+    METRICS,
     block_matrix,
     fit_block,
     load_experiment_config,
     read_results,
-    registered_families,
     run_sweep,
     summarize,
     write_degradation,
@@ -27,12 +27,12 @@ from .harness import (
     write_results_json,
     write_summary,
 )
-from .hpo import HpoSpec, hpo_random_search
+from .hpo import HpoSpec, hpo_random_search, registered_families
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import rank_analysis, render_cd, render_cd_text
 from .synth import SynthConfig, synth_generate
 from .trees import save_model
-from .weighting import STRATEGIES, compute_weights
+from .weighting import DEFAULT_BETA, STRATEGIES, compute_weights
 
 
 class _UsageError(Exception):
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="show all four weighting schemes side by side")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--beta", type=float, default=0.9999, help="effective-number beta")
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA, help="effective-number beta")
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset as CSV + schema")
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[fit_args], help="train and evaluate a single classifier")
     p.add_argument("--min-class-count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=0.9999)
+    p.add_argument("--beta", type=float, default=DEFAULT_BETA)
     p.add_argument("--params", default=None, help="JSON object of model parameters")
     p.add_argument("--save-model", default=None, help="write the fitted model as JSON")
     p.set_defaults(func=_cmd_train)
@@ -282,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", default=None)
     p.add_argument("--summary-out", default=None)
     p.add_argument("--degradation-out", default=None)
-    p.add_argument("--metric", default="weighted_f1",
-                   choices=["accuracy", "macro_f1", "weighted_f1", "train_seconds"])
+    p.add_argument("--metric", default="weighted_f1", choices=METRICS)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("stats", help="Friedman + pairwise Wilcoxon/Holm + CD diagram")
     p.add_argument("--results", required=True, help="results CSV from bench")
-    p.add_argument("--metric", default="weighted_f1",
-                   choices=["accuracy", "macro_f1", "weighted_f1", "train_seconds"])
+    p.add_argument("--metric", default="weighted_f1", choices=METRICS)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--direction", default="maximize", choices=["maximize", "minimize"])
     p.add_argument("--out-svg", default=None)
@@ -297,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("hpo", parents=[fit_args], help="random-search hyperparameter optimization")
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", type=int, default=HpoSpec.n_trials)
+    p.add_argument("--folds", type=int, default=HpoSpec.cv_folds)
+    p.add_argument("--seed", type=int, default=HpoSpec.seed)
     p.add_argument("--overrides", default=None, help="JSON object of fixed parameter overrides")
     p.add_argument("--out", default=None, help="write the full trial log as JSON")
     p.set_defaults(func=_cmd_hpo)

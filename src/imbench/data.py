@@ -27,6 +27,8 @@ __all__ = [
     "load_schema",
     "load_csv",
     "preprocess",
+    "DEFAULT_FRACTIONS",
+    "check_fractions",
     "stratified_split",
     "filter_min_class_count",
     "save_csv",
@@ -333,22 +335,29 @@ def _largest_remainder(total: int, fractions) -> list:
     return base
 
 
-def stratified_split(
-    data: Dataset,
-    fractions=(0.6, 0.2, 0.2),
-    seed: int = 0,
-) -> SplitIndices:
+# the train/val/test shares of every split unless one is given
+DEFAULT_FRACTIONS = (0.6, 0.2, 0.2)
+
+
+def check_fractions(fractions) -> tuple:
+    """``fractions`` as three floats, or a ValueError unless they are
+    positive and sum to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+        raise ValueError("fractions must be three positive numbers")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("fractions must sum to 1, got %r" % (fractions,))
+    return fractions
+
+
+def stratified_split(data: Dataset, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> SplitIndices:
     """Per-class shuffle + largest-remainder allocation into train/val/test.
 
     Guarantees per-class counts within +/-1 of exact proportionality.
     Every class must have at least 3 samples, otherwise it cannot reach
     all three splits.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError("fractions must be three positive numbers")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1, got %r" % (fractions,))
+    fractions = check_fractions(fractions)
     rng = np.random.default_rng(seed)
     buckets = ([], [], [])
     for k in range(data.n_classes):

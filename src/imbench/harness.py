@@ -3,9 +3,9 @@ summarize, persist, and pivot results for rank analysis.
 
 A *block* is one (target, filter-threshold) slice of a dataset; a
 *classifier* is a model family paired with a weighting strategy.  Each run
-filters rare classes, splits 60/20/20 stratified, computes class weights on
-the training split only, fits with the fit wall-clock timed, and evaluates
-accuracy plus macro and weighted F1 on the test split.
+filters rare classes, splits stratified (60/20/20 by default), computes
+class weights on the training split only, fits with the fit wall-clock
+timed, and evaluates accuracy plus macro and weighted F1 on the test split.
 """
 
 from __future__ import annotations
@@ -20,39 +20,18 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, filter_min_class_count, load_csv, load_schema, preprocess, stratified_split
+from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
+                   preprocess, stratified_split)
 from .evaluation import accuracy, confusion_matrix, f1_scores
-from .hpo import (DEFAULT_FAMILIES, FamilySpec, HpoSpec, _install_families, alias_family, get_family,
-                  hpo_random_search, register_family, registered_families, unregister_family)
+from .hpo import DEFAULT_FAMILIES, HpoSpec, _install_families, get_family, hpo_random_search
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import BlockMatrix
 from .synth import SynthConfig, synth_generate
-from .weighting import STRATEGIES, compute_weights
+from .weighting import DEFAULT_BETA, STRATEGIES, check_beta, compute_weights
 
-__all__ = [
-    "FamilySpec",
-    "register_family",
-    "alias_family",
-    "unregister_family",
-    "registered_families",
-    "get_family",
-    "ExperimentConfig",
-    "BlockResult",
-    "SummaryRow",
-    "classifier_id",
-    "fit_block",
-    "run_block",
-    "run_sweep",
-    "summarize",
-    "write_results",
-    "read_results",
-    "write_results_json",
-    "write_summary",
-    "write_degradation",
-    "block_matrix",
-    "load_experiment_config",
-    "load_dataset",
-]
+__all__ = ["ExperimentConfig", "BlockResult", "SummaryRow", "METRICS", "classifier_id", "fit_block", "run_block",
+           "run_sweep", "summarize", "write_results", "read_results", "write_results_json", "write_summary",
+           "write_degradation", "block_matrix", "load_experiment_config", "load_dataset"]
 
 _FLOAT_FMT = "%.17g"
 
@@ -68,20 +47,21 @@ def classifier_id(family: str, strategy: str) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of a sweep, its default and its check; a bad setting
+    raises here, before any block runs."""
+
     csv_path: str | None = None
     schema_path: str | None = None
     synth: SynthConfig | None = None
-    target: str = "label"
     filter_thresholds: tuple | None = None   # None -> default_threshold_ladder
     strategies: tuple = STRATEGIES
     families: tuple = DEFAULT_FAMILIES
     n_runs: int = 10
     base_seed: int = 0
-    fractions: tuple = (0.6, 0.2, 0.2)
-    beta: float = 0.9999
+    fractions: tuple = DEFAULT_FRACTIONS
+    beta: float = DEFAULT_BETA
     model_params: dict = field(default_factory=dict)
-    hpo_enabled: bool = False
-    hpo: HpoSpec = field(default_factory=HpoSpec)
+    hpo: HpoSpec | None = None                # None -> no tuning
     hpo_per_threshold: bool = False
     hpo_strategy: str = "none"
     workers: int = 1
@@ -101,55 +81,61 @@ class ExperimentConfig:
             object.__setattr__(self, "filter_thresholds", thresholds)
         if not self.strategies or any(s not in STRATEGIES for s in self.strategies):
             raise ValueError("strategies must be drawn from %s" % (STRATEGIES,))
+        if self.hpo_strategy not in STRATEGIES:
+            raise ValueError("hpo_strategy must be one of %s, got %r" % (STRATEGIES, self.hpo_strategy))
         if not self.families:
             raise ValueError("at least one model family required")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        check_beta(self.beta)
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "fractions", tuple(float(f) for f in self.fractions))
+        object.__setattr__(self, "fractions", check_fractions(self.fractions))
+
+    @property
+    def target(self) -> str:
+        """The label column the rows name: the schema's for a CSV source,
+        ``"label"`` for a synthetic one."""
+        return "label" if self.synth is not None else load_schema(self.schema_path).label_column
+
+
+def _known(obj: dict, allowed, where: str) -> dict:
+    """``obj``, or a ValueError naming its first key not in ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError("unknown key %r in %s" % (unknown[0], where))
+    return obj
+
+
+# JSON keys under "dataset" and "hpo" that name an ExperimentConfig field
+_RENAMED = {"csv": "csv_path", "schema": "schema_path",
+            "per_threshold": "hpo_per_threshold", "strategy": "hpo_strategy"}
+# the fields a config file sets at its top level
+_TOP_LEVEL = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f not in {*_RENAMED.values(), "synth", "hpo"})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON file form (see README)."""
+    """Build an ExperimentConfig from its JSON file form (see README).
+
+    Keys map straight onto the fields of ``ExperimentConfig``, ``SynthConfig``
+    and ``HpoSpec``, which hold every default; an unknown key at any level
+    is a ValueError that names it.  ``"hpo": {"enabled": true}`` turns
+    tuning on.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    dataset = obj.get("dataset", {})
-    synth = None
-    csv_path = schema_path = None
+        kwargs = json.load(fh)
+    dataset = _known(kwargs.pop("dataset", {}), ("csv", "schema", "synth"), "dataset")
+    hpo = _known(kwargs.pop("hpo", {}), ("enabled", "per_threshold", "strategy", *HpoSpec.__dataclass_fields__), "hpo")
+    _known(kwargs, _TOP_LEVEL, "the experiment config")
     if "synth" in dataset:
-        synth = SynthConfig(**{k: (tuple(v) if k == "class_counts" else v) for k, v in dataset["synth"].items()})
-    else:
-        csv_path = dataset.get("csv")
-        schema_path = dataset.get("schema")
-    hpo_obj = obj.get("hpo", {})
-    spec = HpoSpec(
-        n_trials=int(hpo_obj.get("n_trials", 25)),
-        cv_folds=int(hpo_obj.get("cv_folds", 5)),
-        seed=int(hpo_obj.get("seed", 42)),
-        overrides=dict(hpo_obj.get("overrides", {})),
-    )
-    return ExperimentConfig(
-        csv_path=csv_path,
-        schema_path=schema_path,
-        synth=synth,
-        target=str(obj.get("target", "label")),
-        filter_thresholds=(tuple(obj["filter_thresholds"]) if "filter_thresholds" in obj else None),
-        strategies=tuple(obj.get("strategies", STRATEGIES)),
-        families=tuple(obj.get("families", DEFAULT_FAMILIES)),
-        n_runs=int(obj.get("n_runs", 10)),
-        base_seed=int(obj.get("base_seed", 0)),
-        fractions=tuple(obj.get("fractions", (0.6, 0.2, 0.2))),
-        beta=float(obj.get("beta", 0.9999)),
-        model_params=dict(obj.get("model_params", {})),
-        hpo_enabled=bool(hpo_obj.get("enabled", False)),
-        hpo=spec,
-        hpo_per_threshold=bool(hpo_obj.get("per_threshold", False)),
-        hpo_strategy=str(hpo_obj.get("strategy", "none")),
-        workers=int(obj.get("workers", 1)),
-    )
+        kwargs["synth"] = SynthConfig(**_known(dataset.pop("synth"), SynthConfig.__dataclass_fields__, "dataset.synth"))
+    kwargs.update((_RENAMED[key], section.pop(key)) for section in (dataset, hpo) for key in list(section)
+                  if key in _RENAMED)
+    if hpo.pop("enabled", None):
+        kwargs["hpo"] = HpoSpec(**hpo)
+    return ExperimentConfig(**kwargs)
 
 
 def default_threshold_ladder(counts) -> tuple:
@@ -236,17 +222,8 @@ def _slice(data: Dataset, filter_threshold: int, seed: int, fractions) -> tuple:
     return prepared
 
 
-def fit_block(
-    data: Dataset,
-    family: str,
-    strategy: str,
-    filter_threshold: int,
-    seed: int,
-    target: str = "label",
-    fractions=(0.6, 0.2, 0.2),
-    beta: float = 0.9999,
-    params: dict | None = None,
-) -> tuple:
+def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
+              fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
     """One benchmark run: ``(BlockResult, model)``, the model the result
     scored, or None unless the status is "ok".  Degenerate filtering or split
     preconditions turn into a skipped result, and an exception from the
@@ -321,33 +298,27 @@ class SummaryRow:
 
 def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
     """Per-(family, threshold) params: registry defaults, then config
-    overrides, then HPO winners when enabled."""
+    overrides, then HPO winners when ``config.hpo`` is set.  Each search
+    runs on the training split of the threshold's first-seed slice, the one
+    its blocks use; a slice that would be skipped raises."""
     out = {}
     for family in config.families:
         base = {**get_family(family).default_params, **config.model_params.get(family, {})}
         for threshold in config.filter_thresholds:
             out[(family, threshold)] = dict(base)
-    if not config.hpo_enabled:
+    if config.hpo is None:
         return out
     thresholds = config.filter_thresholds if config.hpo_per_threshold else config.filter_thresholds[:1]
-    for family in config.families:
-        for threshold in thresholds:
-            filtered = filter_min_class_count(data, threshold)
-            split = stratified_split(filtered, fractions=config.fractions, seed=config.base_seed)
-            train = filtered.subset(split.train)
-            result = hpo_random_search(
-                family,
-                train.features,
-                train.labels,
-                spec=config.hpo,
-                strategy=config.hpo_strategy,
-                beta=config.beta,
-                n_classes=filtered.n_classes,
-            )
-            base = {**out[(family, threshold)], **result.best_params}
-            targets = [threshold] if config.hpo_per_threshold else config.filter_thresholds
-            for t in targets:
-                out[(family, t)] = dict(base)
+    for threshold in thresholds:
+        prepared = _slice(data, threshold, config.base_seed, config.fractions)
+        for family in config.families:
+            if isinstance(prepared, str):
+                raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared))
+            dist, _, train, _, _ = prepared
+            result = hpo_random_search(family, train.features, train.labels, spec=config.hpo,
+                                       strategy=config.hpo_strategy, beta=config.beta, n_classes=dist.n_classes)
+            for t in ([threshold] if config.hpo_per_threshold else config.filter_thresholds):
+                out[(family, t)] = {**out[(family, t)], **result.best_params}
     return out
 
 
@@ -403,13 +374,14 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
         ladder = default_threshold_ladder(class_frequencies(data.labels).counts)
         config = replace(config, filter_thresholds=ladder)
     params = _resolve_params(config, data)
+    target = config.target
     slices = [(threshold, config.base_seed + run)
               for threshold in config.filter_thresholds for run in range(config.n_runs)]
     blocks = [(family, strategy) for strategy in config.strategies for family in config.families]
     parts = min(len(blocks), -(-config.workers // max(1, len(slices))))  # ceil(workers / slices)
     tasks = [
         (threshold, seed, [(family, strategy, params[(family, threshold)]) for family, strategy in blocks[part::parts]],
-         config.target, config.fractions, config.beta)
+         target, config.fractions, config.beta)
         for threshold, seed in slices
         for part in range(parts)
     ]
@@ -425,6 +397,18 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
     return results, summarize(results)
 
 
+# the per-run scores a summary averages, each with a SummaryRow "<metric>_mean" and "<metric>_std" field
+METRICS = tuple(f[:-len("_mean")] for f in SummaryRow.__dataclass_fields__ if f.endswith("_mean"))
+# the block descriptors a summary averages without a spread
+_BLOCK_MEANS = ("cvcf", "imbalance_ratio", "necd", "n_train")
+
+
+def _mean_field(metric: str) -> str:
+    if metric not in METRICS:
+        raise ValueError("unknown metric %r" % metric)
+    return metric + "_mean"
+
+
 def summarize(results) -> list:
     """Mean/std (population) per (classifier, target, threshold) over the
     ok runs; skipped runs are counted in ``n_skipped``, and neither skipped
@@ -435,39 +419,15 @@ def summarize(results) -> list:
     rows = []
     for (target, threshold, cid), rs in sorted(groups.items()):
         ok = [r for r in rs if r.status == "ok"]
-        n_skipped = sum(1 for r in rs if r.status == "skipped")
         if not ok:
             continue
-
-        def stat(name):
-            vals = np.array([getattr(r, name) for r in ok])
-            return float(vals.mean()), float(vals.std())
-
-        acc = stat("accuracy")
-        mf1 = stat("macro_f1")
-        wf1 = stat("weighted_f1")
-        sec = stat("train_seconds")
-        rows.append(
-            SummaryRow(
-                classifier=cid,
-                target=target,
-                filter_threshold=threshold,
-                n_runs=len(ok),
-                n_skipped=n_skipped,
-                cvcf=float(np.mean([r.cvcf for r in ok])),
-                imbalance_ratio=float(np.mean([r.imbalance_ratio for r in ok])),
-                necd=float(np.mean([r.necd for r in ok])),
-                n_train=float(np.mean([r.n_train for r in ok])),
-                accuracy_mean=acc[0],
-                accuracy_std=acc[1],
-                macro_f1_mean=mf1[0],
-                macro_f1_std=mf1[1],
-                weighted_f1_mean=wf1[0],
-                weighted_f1_std=wf1[1],
-                train_seconds_mean=sec[0],
-                train_seconds_std=sec[1],
-            )
-        )
+        scores = {}
+        for metric in METRICS:
+            vals = np.array([getattr(r, metric) for r in ok])
+            scores[metric + "_mean"], scores[metric + "_std"] = float(vals.mean()), float(vals.std())
+        means = {name: float(np.mean([getattr(r, name) for r in ok])) for name in _BLOCK_MEANS}
+        n_skipped = sum(1 for r in rs if r.status == "skipped")
+        rows.append(SummaryRow(cid, target, threshold, len(ok), n_skipped, **means, **scores))
     return rows
 
 
@@ -535,10 +495,8 @@ def write_summary(rows, path) -> None:
 def write_degradation(rows, path, metric: str = "weighted_f1") -> None:
     """Degradation-curve table: the chosen metric against each imbalance
     measure, one row per (classifier, block)."""
-    mean_field = metric + "_mean"
+    mean_field = _mean_field(metric)
     std_field = metric + "_std"
-    if mean_field not in SummaryRow.__dataclass_fields__:
-        raise ValueError("unknown metric %r" % metric)
     header = ["classifier", "target", "filter_threshold", "cvcf", "imbalance_ratio", "necd",
               "n_train", mean_field, std_field]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -553,9 +511,7 @@ def block_matrix(summaries, metric: str = "weighted_f1") -> BlockMatrix:
 
     Every classifier must cover every block; holes name the offenders.
     """
-    mean_field = metric + "_mean"
-    if mean_field not in SummaryRow.__dataclass_fields__:
-        raise ValueError("unknown metric %r" % metric)
+    mean_field = _mean_field(metric)
     classifiers = sorted({r.classifier for r in summaries})
     blocks = sorted({(r.target, r.filter_threshold) for r in summaries})
     index = {}

@@ -23,7 +23,7 @@ from .imbalance import class_frequencies
 from .tabresnet import ResNetConfig, TabResNetModel, hidden_dim_bounds, nn_fit
 from .trees import (DecisionTreeModel, ForestParams, GbtParams, GradientBoostedModel, RandomForestModel, TreeParams,
                     dt_fit, gbt_fit, rf_fit)
-from .weighting import compute_weights
+from .weighting import DEFAULT_BETA, compute_weights
 
 __all__ = ["FamilySpec", "DEFAULT_FAMILIES", "register_family", "alias_family", "unregister_family",
            "registered_families", "get_family", "fit_family", "sample_params", "HpoSpec", "TrialRecord",
@@ -269,7 +269,7 @@ def hpo_random_search(
     y,
     spec: HpoSpec | None = None,
     strategy: str = "none",
-    beta: float = 0.9999,
+    beta: float = DEFAULT_BETA,
     n_classes: int | None = None,
 ) -> HpoResult:
     """Random-search HPO for one registered family with a search space.

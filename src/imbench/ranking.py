@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy import stats as _sps
-from scipy.special import ndtr
+from scipy.special import chdtrc, ndtr
 
 __all__ = [
     "BlockMatrix",
@@ -82,12 +81,29 @@ class RankAnalysis:
     direction: str
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """Ascending ranks from 1 within each row of a 2-d array; tied values
+    share the mean of their ranks."""
+    n, k = values.shape
+    order = np.argsort(values, axis=1)
+    ordered = np.take_along_axis(values, order, axis=1)
+    pos = np.broadcast_to(np.arange(k), (n, k))
+    starts = np.ones((n, k), dtype=bool)   # each position that opens a run of equal values
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends = np.ones((n, k), dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, 0.5 * (first + last + 2), axis=1)
+    return ranks
+
+
 def _rank_matrix(values: np.ndarray, direction: str) -> np.ndarray:
     """Within-block midranks; rank 1 is the best treatment."""
     if direction not in ("maximize", "minimize"):
         raise ValueError("direction must be 'maximize' or 'minimize'")
-    v = values if direction == "minimize" else -values
-    return np.vstack([_sps.rankdata(row, method="average") for row in v])
+    return _midranks(values if direction == "minimize" else -values)
 
 
 def friedman(matrix: BlockMatrix, direction: str = "maximize") -> tuple:
@@ -109,7 +125,7 @@ def friedman(matrix: BlockMatrix, direction: str = "maximize") -> tuple:
     if raw <= 1e-12 or correction <= 0.0:
         return 0.0, df, 1.0
     statistic = raw / correction
-    return float(statistic), df, float(_sps.chi2.sf(statistic, df))
+    return float(statistic), df, float(chdtrc(df, statistic))
 
 
 def wilcoxon_signed_rank(a, b) -> tuple:
@@ -130,7 +146,7 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     n = diff.size
     if n == 0:
         raise ValueError("degenerate pairing: all differences are zero")
-    ranks = _sps.rankdata(np.abs(diff), method="average")
+    ranks = _midranks(np.abs(diff)[None, :])[0]
     w_pos = float(ranks[diff > 0].sum())
     w_neg = float(ranks[diff < 0].sum())
     w = min(w_pos, w_neg)

@@ -438,13 +438,13 @@ def nn_build(cfg: ResNetConfig) -> TabResNetModel:
     return TabResNetModel(_Network(cfg), cfg)
 
 
-def _batch_loss_and_grad(net: _Network, xb, yb, wv, cfg, rng):
-    logits = net.forward(xb, train=True, rng=rng)
-    if cfg.binary_mode:
-        loss, grad = bce_from_logits(yb, logits[:, 0], wv)
-        return logits, loss, grad[:, None]
-    loss, grad = cce_from_logits(yb, logits, wv)
-    return logits, loss, grad
+def _loss_and_grad(y, logits, wv, binary_mode: bool) -> tuple:
+    """Weighted loss and its gradient, shaped like ``logits``: binary
+    cross-entropy on a single-logit head, else categorical cross-entropy."""
+    if binary_mode:
+        loss, grad = bce_from_logits(y, logits[:, 0], wv)
+        return loss, grad[:, None]
+    return cce_from_logits(y, logits, wv)
 
 
 def _weighted_val_f1(model: TabResNetModel, x_val, y_val) -> float:
@@ -496,7 +496,8 @@ def nn_fit(
             batch = order[start:start + cfg.batch_size]
             if batch.size < 2:
                 continue
-            _, loss, grad = _batch_loss_and_grad(net, x_train[batch], y_train[batch], wv, cfg, data_rng)
+            logits = net.forward(x_train[batch], train=True, rng=data_rng)
+            loss, grad = _loss_and_grad(y_train[batch], logits, wv, cfg.binary_mode)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     "non-finite training loss at epoch %d, batch %d (lr=%g)"
@@ -551,21 +552,10 @@ def gradient_check(cfg: ResNetConfig, n_samples: int = 8, seed: int = 0, h: floa
     # one training-mode pass gives the frozen statistics non-trivial values
     net.forward(x, train=True, rng=rng)
 
-    def loss_at() -> float:
-        logits = net.forward(x, train=False)
-        if cfg.binary_mode:
-            loss, _ = bce_from_logits(y, logits[:, 0], wv)
-        else:
-            loss, _ = cce_from_logits(y, logits, wv)
-        return loss
+    def loss_and_grad() -> tuple:
+        return _loss_and_grad(y, net.forward(x, train=False), wv, cfg.binary_mode)
 
-    logits = net.forward(x, train=False)
-    if cfg.binary_mode:
-        _, grad = bce_from_logits(y, logits[:, 0], wv)
-        net.backward(grad[:, None])
-    else:
-        _, grad = cce_from_logits(y, logits, wv)
-        net.backward(grad)
+    net.backward(loss_and_grad()[1])
     analytic = net.flat_grads.copy()
 
     flat = net.flat_params
@@ -573,9 +563,9 @@ def gradient_check(cfg: ResNetConfig, n_samples: int = 8, seed: int = 0, h: floa
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        up = loss_at()
+        up = loss_and_grad()[0]
         flat[i] = orig - h
-        down = loss_at()
+        down = loss_and_grad()[0]
         flat[i] = orig
         numeric = (up - down) / (2.0 * h)
         denom = max(abs(analytic[i]), abs(numeric), 1e-8)

@@ -17,6 +17,8 @@ from .imbalance import LabelDistribution
 __all__ = [
     "ClassWeights",
     "STRATEGIES",
+    "DEFAULT_BETA",
+    "check_beta",
     "weights_none",
     "weights_inverse",
     "weights_effective",
@@ -25,6 +27,15 @@ __all__ = [
 ]
 
 STRATEGIES = ("none", "inverse", "effective", "median")
+
+# the effective-number beta unless one is given
+DEFAULT_BETA = 0.9999
+
+
+def check_beta(beta: float) -> None:
+    """Raise a ValueError unless ``beta`` lies in [0, 1)."""
+    if not (0.0 <= beta < 1.0):
+        raise ValueError("beta must lie in [0, 1), got %r" % (beta,))
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,7 @@ def weights_inverse(dist: LabelDistribution) -> ClassWeights:
     return ClassWeights(w, strategy="inverse")
 
 
-def weights_effective(dist: LabelDistribution, beta: float = 0.9999) -> ClassWeights:
+def weights_effective(dist: LabelDistribution, beta: float = DEFAULT_BETA) -> ClassWeights:
     """Effective-number weights.
 
     The effective sample count of class k is (1 - beta^N_k) / (1 - beta),
@@ -78,8 +89,7 @@ def weights_effective(dist: LabelDistribution, beta: float = 0.9999) -> ClassWei
 
     beta -> 1 recovers inverse-frequency weighting; beta = 0 gives all ones.
     """
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must lie in [0, 1), got %r" % (beta,))
+    check_beta(beta)
     counts = dist.counts.astype(np.float64)
     if np.any(counts == 0):
         raise ValueError("effective-number weighting undefined for zero-count classes")
@@ -104,7 +114,7 @@ def weights_median(dist: LabelDistribution) -> ClassWeights:
     return ClassWeights(w, strategy="median")
 
 
-def compute_weights(dist: LabelDistribution, strategy: str, beta: float = 0.9999) -> ClassWeights:
+def compute_weights(dist: LabelDistribution, strategy: str, beta: float = DEFAULT_BETA) -> ClassWeights:
     """Dispatch by strategy name; ``beta`` only applies to 'effective'."""
     if strategy == "none":
         return weights_none(dist)

@@ -235,6 +235,20 @@ class TestBenchAndStats:
         thresholds = sorted({r.filter_threshold for r in read_results(out)})
         assert thresholds == [1, 2, 5, 10, 20, 50]
 
+    def test_bench_rejects_an_unknown_key(self, tmp_path, capsys):
+        config = {
+            "dataset": {"synth": {"n_samples": 300, "n_classes": 3, "n_features": 4,
+                                  "class_counts": [164, 82, 54], "seed": 0}},
+            "families": ["dt"],
+            "n_run": 5,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "unknown key 'n_run'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_renders_analysis(self, bench_artifacts, tmp_path, capsys):
         svg_path = str(tmp_path / "cd.svg")
         text_path = str(tmp_path / "cd.txt")

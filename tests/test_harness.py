@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import struct
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -37,6 +38,8 @@ from imbench import (
     registered_families,
     run_block,
     run_sweep,
+    save_csv,
+    schema_for,
     stratified_split,
     summarize,
     unregister_family,
@@ -46,7 +49,10 @@ from imbench import (
     write_summary,
 )
 from imbench import harness
+from imbench.hpo import HpoResult
 from tests.conftest import make_blobs
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 class _MajorityModel:
@@ -77,6 +83,15 @@ class _BrokenPredictModel(_MajorityModel):
 
 def broken_predict_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
     return _BrokenPredictModel(0, n_classes)
+
+
+_FITS = []
+
+
+def recording_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    """Records the training size and the HPO tag each fit receives."""
+    _FITS.append((len(y), params.get("tag")))
+    return majority_fit(x, y, weights, params, n_classes, seed)
 
 
 _PICKLED = []
@@ -243,6 +258,61 @@ class TestExperimentConfig:
         p = tmp_path / "config.json"
         p.write_text(json.dumps(obj), encoding="utf-8")
         assert load_experiment_config(p).filter_thresholds is None
+
+    def test_every_default_comes_from_the_dataclasses(self, tmp_path):
+        synth = {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"dataset": {"synth": synth}}), encoding="utf-8")
+        assert load_experiment_config(p) == ExperimentConfig(synth=SynthConfig(**synth))
+        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"enabled": True, "strategy": "median"}}),
+                     encoding="utf-8")
+        config = load_experiment_config(p)
+        assert config.hpo == HpoSpec() and config.hpo_strategy == "median" and not config.hpo_per_threshold
+        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"enabled": False, "n_trials": 3}}),
+                     encoding="utf-8")
+        assert load_experiment_config(p).hpo is None
+
+    @pytest.mark.parametrize("where, key", [
+        ((), "n_run"),
+        (("dataset",), "csv_file"),
+        (("dataset", "synth"), "n_sample"),
+        (("hpo",), "trials"),
+        ((), "target"),
+        ((), "hpo_strategy"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, where, key):
+        obj = {"dataset": {"synth": {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}},
+               "hpo": {"enabled": True}}
+        section = obj
+        for name in where:
+            section = section[name]
+        section[key] = 5
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown key '%s'" % key):
+            load_experiment_config(p)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"fractions": (0.5, 0.5)}, "three positive numbers"),
+        ({"fractions": (0.6, 0.3, 0.2)}, "sum to 1"),
+        ({"beta": 1.0}, "beta must lie in"),
+        ({"hpo_strategy": "oversample"}, "hpo_strategy"),
+    ])
+    def test_bad_setting_raises_before_any_block(self, monkeypatch, setting, message):
+        monkeypatch.setattr(harness, "run_block", None)  # a block run would fail with TypeError
+        with pytest.raises(ValueError, match=message):
+            run_sweep(small_config(**setting))
+
+    def test_readme_config_loads(self, tmp_path):
+        """The experiment config documented in README.md is one the loader accepts."""
+        text = open(README, encoding="utf-8").read()
+        section = text[text.index("**Experiment config (JSON)**"):]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        p = tmp_path / "config.json"
+        p.write_text(block, encoding="utf-8")
+        config = load_experiment_config(p)
+        assert set(json.loads(block)) <= {*ExperimentConfig.__dataclass_fields__, "dataset"}
+        assert config.csv_path == "clinic.csv" and config.hpo is None
 
 
 class TestThresholdLadder:
@@ -504,12 +574,72 @@ class TestRunSweep:
 
     def test_hpo_path_updates_params(self):
         config = small_config(
-            hpo_enabled=True,
             hpo=HpoSpec(n_trials=2, cv_folds=2, seed=0),
         )
         results, summaries = run_sweep(config)
         assert all(r.status == "ok" for r in results)
         assert len(summaries) == 1
+
+    @pytest.mark.parametrize("per_threshold", [False, True])
+    def test_hpo_winners_reach_their_blocks(self, monkeypatch, per_threshold):
+        """One search per family (on the first threshold) or per (family,
+        threshold), each on the training split of the threshold's first-seed
+        slice, and each winner reaches exactly the blocks it was searched for."""
+        searches = []
+
+        def spy(family, x, y, spec, strategy, beta, n_classes):
+            searches.append((family, x, y, n_classes, strategy))
+            return HpoResult(family, {"tag": "%s@%d" % (family, len(y))}, 0.0, 0, [])
+
+        monkeypatch.setattr(harness, "hpo_random_search", spy)
+        register_family("rec_a", recording_fit, {})
+        register_family("rec_b", recording_fit, {})
+        _FITS.clear()
+        try:
+            # 250/100/50 rows: threshold 1 keeps 3 classes (240 train rows), 60 keeps 2 (210)
+            config = small_config(families=("rec_a", "rec_b"), strategies=("none", "inverse"),
+                                  filter_thresholds=(1, 60), n_runs=2, base_seed=3,
+                                  hpo=HpoSpec(n_trials=2, cv_folds=2), hpo_per_threshold=per_threshold,
+                                  hpo_strategy="median")
+            data = harness.load_dataset(config)
+            results, _ = run_sweep(config, data)
+            fits = list(_FITS)
+        finally:
+            unregister_family("rec_a")
+            unregister_family("rec_b")
+            _FITS.clear()
+        trains = {}
+        for threshold in (1, 60):
+            filtered = filter_min_class_count(data, threshold)
+            trains[threshold] = filtered.subset(stratified_split(filtered, seed=3).train)
+        searched = (1, 60) if per_threshold else (1,)
+        expected = [(family, t) for t in searched for family in ("rec_a", "rec_b")]
+        assert len(searches) == len(expected)
+        for (family, x, y, n_classes, strategy), (want_family, t) in zip(searches, expected):
+            assert (family, n_classes, strategy) == (want_family, trains[t].n_classes, "median")
+            assert np.array_equal(x, trains[t].features) and np.array_equal(y, trains[t].labels)
+        assert all(r.status == "ok" for r in results) and len(fits) == 2 * 2 * 2 * 2
+        for threshold, n_train in ((1, 240), (60, 210)):
+            source = trains[threshold if per_threshold else 1].n_samples
+            tags = sorted(tag for n, tag in fits if n == n_train)
+            assert tags == ["rec_a@%d" % source] * 4 + ["rec_b@%d" % source] * 4
+
+    def test_hpo_on_a_skipped_slice_names_family_and_threshold(self):
+        config = small_config(filter_thresholds=(200,), hpo=HpoSpec(n_trials=2, cv_folds=2))
+        with pytest.raises(ValueError, match="family 'dt' at threshold 200: degenerate"):
+            run_sweep(config)
+
+    def test_csv_rows_name_the_schema_label_column(self, tmp_path):
+        data = make_blobs(300, 3, 4, 2.5, seed=1, counts=[150, 100, 50])
+        csv_path, schema_path = str(tmp_path / "t.csv"), str(tmp_path / "t.schema.json")
+        save_csv(data, csv_path, label_column="dx")
+        with open(schema_path, "w", encoding="utf-8") as fh:
+            fh.write(schema_for(data, label_column="dx").to_json())
+        config = small_config(synth=None, csv_path=csv_path, schema_path=schema_path, filter_thresholds=(1, 60))
+        results, summaries = run_sweep(config)
+        assert config.target == "dx"
+        assert {r.target for r in results} == {s.target for s in summaries} == {"dx"}
+        assert small_config().target == "label"
 
 
 def asdict_config(config):

@@ -1,11 +1,19 @@
 """Friedman / Wilcoxon / Holm pipeline and the critical-difference diagram."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
+from scipy.special import chdtrc
 
+import imbench
 from imbench import (
     BlockMatrix,
     friedman,
@@ -15,6 +23,7 @@ from imbench import (
     render_cd_text,
     wilcoxon_signed_rank,
 )
+from imbench.ranking import _midranks
 
 
 def matrix_of(values, names=None):
@@ -286,3 +295,28 @@ class TestRendering:
 
         solo = replace(analysis, cliques=(("A",), ("B",), ("C",)))
         assert "none with two or more" in render_cd_text(solo)
+
+
+class TestScipyStatsOracle:
+    """The numpy midranks and the chi-square tail match scipy.stats, which
+    the package itself does not import."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.one_of(st.integers(-3, 3).map(float),
+                                         st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))))
+    def test_midranks_equal_rankdata(self, values):
+        expected = np.array([stats.rankdata(row, method="average") for row in values]).reshape(values.shape)
+        assert np.array_equal(_midranks(values), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 200.0, allow_subnormal=False))
+    def test_chi_square_tail_equals_chi2_sf(self, df, x):
+        assert chdtrc(df, x) == stats.chi2.sf(x, df)
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(imbench.__file__)))
+        code = "import sys, imbench, imbench.cli; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
