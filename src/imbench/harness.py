@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import trees
 from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
                    preprocess, stratified_split)
 from .evaluation import accuracy, confusion_matrix, f1_scores
@@ -92,6 +93,7 @@ class ExperimentConfig:
         check_beta(self.beta)
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "families", tuple(self.families))
+        _known(self.model_params, self.families, "model_params, which may name only the families %s" % (self.families,))
         object.__setattr__(self, "fractions", check_fractions(self.fractions))
 
     @property
@@ -332,14 +334,15 @@ def _install_worker(specs, data: Dataset) -> None:
 
 def _run_slice(data: Dataset, threshold: int, seed: int, blocks, target: str, fractions, beta: float) -> list:
     """The rows of one (threshold, seed) slice, one ``run_block`` per
-    (family, strategy, params) in ``blocks``; the slice is prepared once."""
+    (family, strategy, params) in ``blocks``; the slice is prepared once,
+    and its training table presorted once for every dt and gbt fit."""
     global _slice_memo
-    _slice_memo = [None, None, None]
+    _slice_memo, trees._presort_memo = [None, None, None], [None, None]
     try:
         return [run_block(data, family, strategy, threshold, seed, target, fractions, beta, params)
                 for family, strategy, params in blocks]
     finally:
-        _slice_memo = None
+        _slice_memo = trees._presort_memo = None
 
 
 def _run_slice_task(task) -> list:

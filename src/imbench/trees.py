@@ -8,8 +8,10 @@ training is fully deterministic given the seed.
 
 All three families grow trees with one engine (``_grow``): each feature is
 sorted once per tree and splits partition the sorted row lists stably (the
-presort of SLIQ and CART); one kernel scores a block of features per pass
-for the Gini/entropy and the Newton criterion.  Trees are flat node arrays.
+presort of SLIQ and CART).  Inside a sweep slice the dt and gbt fits share
+one presort of the slice's training table (``_table_presort``).  One kernel
+scores a block of features per pass for the Gini/entropy and the Newton
+criterion.  Trees are flat node arrays.
 """
 
 from __future__ import annotations
@@ -178,15 +180,19 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum over axis 0, adding in the order of numpy's pairwise summation of
     one contiguous row: bitwise equal to summing the same values stored
     contiguously along a last axis, but as a few vector adds instead of one
-    short reduction per row (numpy's own order depends on memory layout)."""
+    short reduction per row (numpy's own order depends on memory layout).
+    The one difference: numpy starts from +0.0, so it sums a row of only
+    -0.0 to +0.0, where this gives -0.0."""
     n = a.shape[0]
     if a.ndim == 1:
         return a.sum()
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _row_sum(a[:half]) + _row_sum(a[half:])
+    if n < 2:
+        return functools.reduce(np.add, a, -0.0)  # a fresh array, as every other width gives
     if n < 8:
-        return functools.reduce(np.add, a, -0.0)
+        return functools.reduce(np.add, a[1:], a[0])  # as from -0.0 (-0.0 + x == x), one pass fewer
     r = a[:8]
     for i in range(8, n - n % 8, 8):
         r = r + a[i:i + 8]
@@ -297,6 +303,27 @@ def _presort(x: np.ndarray) -> np.ndarray:
     return order
 
 
+# [x, _presort(x)] of the read-only table presorted last; kept only while
+# harness._run_slice runs, so the dt and gbt fits of one sweep slice sort its
+# training table once
+_presort_memo = None
+
+
+def _table_presort(x: np.ndarray) -> np.ndarray:
+    """``_presort(x)``, kept for the next fit of the same ``x`` inside a
+    sweep slice.  Only a read-only array that owns its data is kept, keyed
+    on its identity: nothing can change it in place.  Any other array (rf's
+    bootstraps, a caller's writable table) is sorted afresh every time."""
+    memo = _presort_memo
+    if memo is None or x.flags.writeable or not x.flags.owndata:
+        return _presort(x)
+    if memo[0] is not x:
+        order = _presort(x)
+        order.setflags(write=False)
+        memo[:] = [x, order]
+    return memo[1]
+
+
 def _increasing(v: np.ndarray) -> np.ndarray:
     """Per row of ``v``: are its values strictly increasing (no tie, no NaN)?"""
     return np.all(v[:, 1:] > v[:, :-1], axis=1)
@@ -325,7 +352,7 @@ def _best_split(x, ordered, crit, total, feats, min_leaf):
         fb = feats[start:start + block]
         rows = ordered[fb]
         sides = np.empty((width, 2, fb.size, m))  # statistic sums left and right of each cut
-        np.cumsum(crit.cols[:, rows], axis=-1, out=sides[:, 0])
+        np.cumsum(np.take(crit.cols, rows, axis=1), axis=-1, out=sides[:, 0])
         np.subtract(total[:, None, None], sides[:, 0], out=sides[:, 1])
         vs = x[rows, fb[:, None]]
         valid = vs[:, 1:] > vs[:, :-1]
@@ -378,7 +405,7 @@ def _grow(x, ordered, crit, pick_features, max_depth: int, min_split: int = 2, m
 
 def _class_tree(x, y, wv, n_classes, params: TreeParams, pick_features) -> Tree:
     crit = _ClassMass(one_hot(y, n_classes) * wv[y][:, None], params.criterion)
-    return _grow(x, _presort(x), crit, pick_features, params.max_depth,
+    return _grow(x, _table_presort(x), crit, pick_features, params.max_depth,
                  params.min_samples_split, params.min_samples_leaf)[0]
 
 
@@ -572,7 +599,7 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     n_rows = max(2, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample * d)))
     rows, x_rows = np.arange(n), x
-    full = ordered = _presort(x)
+    full = ordered = _table_presort(x)
     rounds = []
     for round_idx in range(params.n_estimators):
         if n_rows < n:

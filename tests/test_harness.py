@@ -48,7 +48,7 @@ from imbench import (
     write_results_json,
     write_summary,
 )
-from imbench import harness
+from imbench import harness, trees
 from imbench.hpo import HpoResult
 from tests.conftest import make_blobs
 
@@ -148,9 +148,9 @@ def small_config(**overrides):
         strategies=("none",),
         families=("dt",),
         n_runs=1,
-        model_params={"dt": {"max_depth": 4}},
     )
     base.update(overrides)
+    base.setdefault("model_params", {"dt": {"max_depth": 4}} if "dt" in base["families"] else {})
     return ExperimentConfig(**base)
 
 
@@ -279,10 +279,11 @@ class TestExperimentConfig:
         (("hpo",), "trials"),
         ((), "target"),
         ((), "hpo_strategy"),
+        (("model_params",), "rff"),  # a family not in "families"
     ])
     def test_unknown_key_is_named(self, tmp_path, where, key):
         obj = {"dataset": {"synth": {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}},
-               "hpo": {"enabled": True}}
+               "hpo": {"enabled": True}, "families": ["dt", "rf"], "model_params": {"dt": {"max_depth": 3}}}
         section = obj
         for name in where:
             section = section[name]
@@ -547,6 +548,47 @@ class TestRunSweep:
         assert len(results) == len(independent) == 36
         assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
         assert sum(r.status == "skipped" for r in results) == 12
+
+    def test_each_slice_training_table_is_presorted_once(self, monkeypatch):
+        """In a sweep the dt and gbt blocks of a slice share one presort of
+        its training table, rf still presorts each bootstrap, the rows are
+        those of independent fit_block calls, and no presort outlives the
+        slice."""
+        presorted = []
+
+        def counted(x):
+            presorted.append(x)
+            return presort(x)
+
+        presort = trees._presort
+        monkeypatch.setattr(trees, "_presort", counted)
+        config = small_config(families=("dt", "rf", "gbt"), strategies=("none", "inverse"),
+                              filter_thresholds=(1, 60, 200), n_runs=2,
+                              model_params={"dt": {"max_depth": 3}, "rf": {"n_estimators": 2, "max_depth": 3},
+                                            "gbt": {"n_estimators": 1, "max_depth": 2}})
+        data = harness.load_dataset(config)
+        results, _ = run_sweep(config, data)
+        assert trees._presort_memo is None
+        tables = [x for x in presorted if not x.flags.writeable]
+        bootstraps = [x for x in presorted if x.flags.writeable]
+        slices = [harness._slice(data, t, s, config.fractions) for t in (1, 60) for s in (0, 1)]  # 200 is skipped
+        assert len({id(x) for x in tables}) == len(tables) == len(slices)
+        assert sorted(x.tobytes() for x in tables) == sorted(p[2].features.tobytes() for p in slices)
+        assert len(bootstraps) == len(slices) * 2 * 2  # strategies x trees
+
+        presorted.clear()
+        independent = {
+            (r.classifier, r.filter_threshold, r.seed): r
+            for family in config.families for strategy in config.strategies
+            for threshold in config.filter_thresholds for seed in range(2)
+            for r in [harness.run_block(data, family, strategy, threshold, seed,
+                                        params=config.model_params[family])]
+        }
+        assert trees._presort_memo is None  # a direct fit_block call keeps no presort
+        assert len(presorted) == len(slices) * 2 * (1 + 2 + 1)  # every fit presorts for itself
+        assert len(results) == len(independent) == 36
+        assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
+        assert sum(r.status == "ok" for r in results) == 24
 
     @pytest.mark.parametrize("n_thresholds, n_runs, workers, n_tasks", [
         (1, 1, 2, 2),  # one slice, two workers: its four blocks make two tasks

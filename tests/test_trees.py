@@ -362,13 +362,91 @@ def oracle_split(x, y, k, min_leaf):
 FAST = settings(max_examples=40, deadline=None)
 
 
-@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 12, 16, 17, 40, 128, 129, 300])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 17, 40, 128, 129, 300])
 def test_row_sum_adds_like_numpy_sum_of_a_row(width):
     rng = np.random.default_rng(width)
     a = rng.normal(size=(3, 50, width)) * 10.0 ** rng.integers(-8, 8, size=(3, 50, width))
+    a[0, 0] = rng.choice([0.0, -0.0, np.nan], size=width)
+    a[0, 0, 0] = 0.0  # not a row of only -0.0: numpy sums that to +0.0, _row_sum to -0.0
+    a[0, 1] = rng.choice([0.0, -0.0], size=width)
+    a[0, 1, -1] = np.nan
     expected = a.sum(axis=-1)
-    assert trees._row_sum(np.moveaxis(a, -1, 0)).tobytes() == expected.tobytes()
-    assert trees._row_sum(a[0, 0]) == expected[0, 0]
+    summed = trees._row_sum(np.moveaxis(a, -1, 0))
+    assert summed.tobytes() == expected.tobytes()
+    assert not np.shares_memory(summed, a)
+    assert trees._row_sum(a[0, 2]) == expected[0, 2]
+    assert np.signbit(trees._row_sum(np.full((width, 2), -0.0))).all()
+
+
+class TestPresortMemo:
+    """Inside a sweep slice (``trees._presort_memo`` set) a read-only table
+    is presorted once; anything that could change in place never is kept."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        presort = trees._presort
+
+        def counted(x):
+            seen.append(x)
+            return presort(x)
+
+        monkeypatch.setattr(trees, "_presort", counted)
+        monkeypatch.setattr(trees, "_presort_memo", [None, None])
+        return seen
+
+    @staticmethod
+    def table(seed, writeable):
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.0, 1.0, 2.5, 3.0], size=(60, 3))
+        x.setflags(write=writeable)
+        y = np.arange(60) % 3
+        return x, y
+
+    def test_read_only_table_is_presorted_once_and_kept_read_only(self, calls):
+        x, y = self.table(0, writeable=False)
+        fits = [dt_fit(x, y, np.ones(3), TreeParams(max_depth=3)),
+                gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2)),
+                dt_fit(x, y, np.ones(3), TreeParams(max_depth=3))]
+        assert len(calls) == 1 and calls[0] is x
+        kept, order = trees._presort_memo
+        assert kept is x and not order.flags.writeable
+        np.testing.assert_array_equal(order, np.argsort(x, axis=0, kind="stable").T)
+        trees._presort_memo = None
+        fresh = [dt_fit(x, y, np.ones(3), TreeParams(max_depth=3)),
+                 gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2))]
+        assert len(calls) == 3
+        for a, b in zip(fits, fresh + fresh[:1]):
+            assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+    def test_writable_table_is_presorted_fresh_after_each_change(self, calls):
+        x, y = self.table(1, writeable=True)
+        for step in range(3):
+            model = dt_fit(x, y, np.ones(3), TreeParams(max_depth=4))
+            assert trees._presort_memo == [None, None] and len(calls) == 2 * step + 1
+            trees._presort_memo = None
+            fresh = dt_fit(x, y, np.ones(3), TreeParams(max_depth=4))
+            assert json.dumps(model.to_dict()) == json.dumps(fresh.to_dict())
+            trees._presort_memo = [None, None]
+            x[:, step] = x[::-1, step]  # in place: the next fit must see the new order
+
+    def test_read_only_view_of_a_writable_table_is_not_kept(self, calls):
+        base, y = self.table(2, writeable=True)
+        view = base.view()
+        view.setflags(write=False)
+        first = dt_fit(view, y, np.ones(3), TreeParams(max_depth=4))
+        base[:, 0] = base[::-1, 0]
+        second = dt_fit(view, y, np.ones(3), TreeParams(max_depth=4))
+        assert len(calls) == 2 and trees._presort_memo == [None, None]
+        assert json.dumps(first.to_dict()) != json.dumps(second.to_dict())
+
+    def test_forest_bootstraps_do_not_evict_the_table(self, calls):
+        x, y = self.table(3, writeable=False)
+        dt_fit(x, y, np.ones(3))
+        rf_fit(x, y, np.ones(3), ForestParams(n_estimators=3, max_depth=3), seed=1)
+        gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=1))
+        assert [c is x for c in calls] == [True, False, False, False]
+        assert trees._presort_memo[0] is x
 
 
 class TestSplitProperties:
