@@ -415,22 +415,41 @@ def _mean_field(metric: str) -> str:
 def summarize(results) -> list:
     """Mean/std (population) per (classifier, target, threshold) over the
     ok runs; skipped runs are counted in ``n_skipped``, and neither skipped
-    nor failed runs enter the statistics."""
-    groups: dict = {}
-    for r in results:
-        groups.setdefault((r.target, r.filter_threshold, r.classifier), []).append(r)
+    nor failed runs enter the statistics.
+
+    The ok rows are sorted by group, keeping their order within a group, and
+    the groups with R ok rows are reduced together as one (groups, R) array
+    per column: numpy reduces each row of it as it reduces that group's
+    values alone, so the statistics are bitwise those of per-group calls.
+    """
+    results = list(results)
+    key_ids: dict = {}
+    group = np.array([key_ids.setdefault((r.target, r.filter_threshold, r.classifier), len(key_ids))
+                      for r in results], dtype=np.intp)
+    status = np.array([r.status for r in results], dtype=object)
+    ok_rows = np.flatnonzero(status == "ok")
+    ok_rows = ok_rows[np.argsort(group[ok_rows], kind="stable")]
+    n_ok = np.bincount(group[ok_rows], minlength=len(key_ids))
+    n_skipped = np.bincount(group[status == "skipped"], minlength=len(key_ids))
+    starts = np.cumsum(n_ok) - n_ok
+    stats: dict = {}  # column -> per-group (mean, std)
+    for name in METRICS + _BLOCK_MEANS:
+        column = np.array([getattr(results[i], name) for i in ok_rows.tolist()])
+        means, stds = np.zeros(len(key_ids)), np.zeros(len(key_ids))
+        for size in np.unique(n_ok[n_ok > 0]).tolist():
+            groups = np.flatnonzero(n_ok == size)
+            values = column[starts[groups][:, None] + np.arange(size)]
+            means[groups], stds[groups] = values.mean(axis=1), values.std(axis=1)
+        stats[name] = means.tolist(), stds.tolist()
     rows = []
-    for (target, threshold, cid), rs in sorted(groups.items()):
-        ok = [r for r in rs if r.status == "ok"]
-        if not ok:
+    for (target, threshold, cid), g in sorted(key_ids.items()):
+        if not n_ok[g]:
             continue
+        means = {name: stats[name][0][g] for name in _BLOCK_MEANS}
         scores = {}
         for metric in METRICS:
-            vals = np.array([getattr(r, metric) for r in ok])
-            scores[metric + "_mean"], scores[metric + "_std"] = float(vals.mean()), float(vals.std())
-        means = {name: float(np.mean([getattr(r, name) for r in ok])) for name in _BLOCK_MEANS}
-        n_skipped = sum(1 for r in rs if r.status == "skipped")
-        rows.append(SummaryRow(cid, target, threshold, len(ok), n_skipped, **means, **scores))
+            scores[metric + "_mean"], scores[metric + "_std"] = stats[metric][0][g], stats[metric][1][g]
+        rows.append(SummaryRow(cid, target, threshold, int(n_ok[g]), int(n_skipped[g]), **means, **scores))
     return rows
 
 

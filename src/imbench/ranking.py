@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 __all__ = [
     "BlockMatrix",
@@ -125,6 +123,8 @@ def friedman(matrix: BlockMatrix, direction: str = "maximize") -> tuple:
     if raw <= 1e-12 or correction <= 0.0:
         return 0.0, df, 1.0
     statistic = raw / correction
+    from scipy.special import chdtrc  # deferred: scipy loads on the first p-value, not on import
+
     return float(statistic), df, float(chdtrc(df, statistic))
 
 
@@ -168,6 +168,8 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     if var <= 0:
         return w, 1.0
     z = (w - mean + 0.5) / np.sqrt(var)  # continuity correction toward the mean
+    from scipy.special import ndtr  # deferred: scipy loads on the first p-value, not on import
+
     return w, float(min(1.0, 2.0 * ndtr(z)))
 
 
@@ -295,6 +297,12 @@ def _cd_layout(analysis: RankAnalysis):
     return k, order, spans, levels, len(level_ends)
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``>`` and ``<`` as XML entities, replaced in the order
+    ``xml.sax.saxutils.escape`` uses (that module imports urllib, http and ssl)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def render_cd(analysis: RankAnalysis, path=None) -> str:
     """Critical-difference-style diagram as a self-contained SVG string.
 
@@ -360,7 +368,7 @@ def render_cd(analysis: RankAnalysis, path=None) -> str:
         )
         parts.append(
             '<text x="%.2f" y="%d" text-anchor="%s">%s (%.2f)</text>'
-            % (x_label, y_label, anchor, escape(name), rank)
+            % (x_label, y_label, anchor, _escape(name), rank)
         )
 
     parts.append("</svg>")

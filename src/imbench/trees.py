@@ -8,10 +8,13 @@ training is fully deterministic given the seed.
 
 All three families grow trees with one engine (``_grow``): each feature is
 sorted once per tree and splits partition the sorted row lists stably (the
-presort of SLIQ and CART).  Inside a sweep slice the dt and gbt fits share
-one presort of the slice's training table (``_table_presort``).  One kernel
-scores a block of features per pass for the Gini/entropy and the Newton
-criterion.  Trees are flat node arrays.
+presort of SLIQ and CART).  A node that may split carries, per feature, its
+row ids and their values in sorted order (SPRINT's attribute lists), and a
+split partitions both with one ``np.compress`` over the flattened arrays; a
+child that cannot split (by depth or size) carries only its row ids.  Inside
+a sweep slice the dt and gbt fits share one presort of the slice's training
+table (``_table_presort``).  One kernel scores a block of features per pass
+for the Gini/entropy and the Newton criterion.  Trees are flat node arrays.
 """
 
 from __future__ import annotations
@@ -337,12 +340,27 @@ def _presort_rows(full: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return kept[kept >= 0].reshape(full.shape[0], rows.size)
 
 
-def _best_split(x, ordered, crit, total, feats, min_leaf):
+def _sorted_values(x: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """(d, n) values; row f is ``x[ordered[f], f]``, feature f in its presorted
+    order (one flat take from the transposed table)."""
+    xt = np.ascontiguousarray(x.T)
+    return np.take(xt, ordered + (np.arange(xt.shape[0]) * xt.shape[1])[:, None])
+
+
+def _partition(keep: np.ndarray, ordered: np.ndarray, xs: np.ndarray) -> tuple:
+    """The rows per feature and their sorted values where the flat mask ``keep``
+    is set, still in sorted order: the lists a child node carries."""
+    d = ordered.shape[0]
+    return np.compress(keep, ordered).reshape(d, -1), np.compress(keep, xs).reshape(d, -1)
+
+
+def _best_split(ordered, xs, crit, total, feats, min_leaf):
     """(feature, threshold) of the lowest-scoring cut over ``feats``, or None.
 
-    A cut after sorted position i sends the first i + 1 rows left.  A
-    feature whose best cut scores NaN is skipped, as is one with no cut
-    between distinct values that leaves ``min_leaf`` rows on each side.
+    ``xs`` holds the values of ``ordered``'s rows.  A cut after sorted
+    position i sends the first i + 1 rows left.  A feature whose best cut
+    scores NaN is skipped, as is one with no cut between distinct values
+    that leaves ``min_leaf`` rows on each side.
     """
     m = ordered.shape[1]
     width = crit.cols.shape[0]
@@ -354,7 +372,7 @@ def _best_split(x, ordered, crit, total, feats, min_leaf):
         sides = np.empty((width, 2, fb.size, m))  # statistic sums left and right of each cut
         np.cumsum(np.take(crit.cols, rows, axis=1), axis=-1, out=sides[:, 0])
         np.subtract(total[:, None, None], sides[:, 0], out=sides[:, 1])
-        vs = x[rows, fb[:, None]]
+        vs = xs[fb]
         valid = vs[:, 1:] > vs[:, :-1]
         valid[:, :min_leaf - 1] = False  # fewer than min_leaf rows on the left
         valid[:, m - min_leaf:] = False  # ... or on the right
@@ -366,26 +384,28 @@ def _best_split(x, ordered, crit, total, feats, min_leaf):
     return best
 
 
-def _grow(x, ordered, crit, pick_features, max_depth: int, min_split: int = 2, min_leaf: int = 1):
+def _grow(x, ordered, xs, crit, pick_features, max_depth: int, min_split: int = 2, min_leaf: int = 1):
     """Grow one tree over the rows of ``x``, depth first, left before right.
 
-    ``ordered`` comes from ``_presort(x)``.  ``pick_features()`` returns the
-    ascending feature ids to search at each node that may split.  Returns
-    the tree, the leaf id of every row, and the statistic totals of each
-    leaf in ascending leaf-id order.
+    ``ordered`` comes from ``_presort(x)`` and ``xs`` from
+    ``_sorted_values(x, ordered)``.  ``pick_features()`` returns the
+    ascending feature ids to search at each node that may split.  A child
+    that cannot split (at ``max_depth`` or below ``min_split`` rows) gets no
+    row lists.  Returns the tree, the leaf id of every row, and the
+    statistic totals of each leaf in ascending leaf-id order.
     """
-    n, d = x.shape
+    n = x.shape[0]
     goes_left = np.zeros(n, dtype=bool)
     leaf_of = np.zeros(n, dtype=np.intp)
     nodes = [[-1, 0.0, -1, -1]]  # feature, threshold, left child, right child
     leaves = {}  # node -> (value, totals)
-    stack = [(0, 0, np.arange(n), ordered, None)]  # node, depth, rows ascending, rows per feature, parent value
+    stack = [(0, 0, np.arange(n), (ordered, xs), None)]  # node, depth, rows ascending, lists, parent value
     while stack:
-        node, depth, idx, ordered, parent = stack.pop()
+        node, depth, idx, lists, parent = stack.pop()
         total, value, may_split = crit.node(idx, parent)
         split = None
         if may_split and depth < max_depth and idx.size >= min_split:
-            split = _best_split(x, ordered, crit, total, pick_features(), min_leaf)
+            split = _best_split(*lists, crit, total, pick_features(), min_leaf)
         if split is None:
             leaves[node] = value, total
             leaf_of[idx] = node
@@ -394,9 +414,16 @@ def _grow(x, ordered, crit, pick_features, max_depth: int, min_split: int = 2, m
         nodes += [[-1, 0.0, -1, -1], [-1, 0.0, -1, -1]]
         go_left = x[idx, split[0]] <= split[1]
         goes_left[idx] = go_left
-        to_left = goes_left[ordered]
-        stack.append((len(nodes) - 1, depth + 1, idx[~go_left], ordered[~to_left].reshape(d, -1), value))
-        stack.append((len(nodes) - 2, depth + 1, idx[go_left], ordered[to_left].reshape(d, -1), value))
+        left, right = idx[go_left], idx[~go_left]
+        left_lists = right_lists = None
+        if depth + 1 < max_depth and max(left.size, right.size) >= min_split:
+            to_left = goes_left[lists[0]].ravel()
+            if right.size >= min_split:
+                right_lists = _partition(~to_left, *lists)
+            if left.size >= min_split:
+                left_lists = _partition(to_left, *lists)
+        stack.append((len(nodes) - 1, depth + 1, right, right_lists, value))
+        stack.append((len(nodes) - 2, depth + 1, left, left_lists, value))
     ids = sorted(leaves)
     values = np.zeros((len(nodes), leaves[ids[0]][0].size))
     values[ids] = [leaves[i][0] for i in ids]
@@ -405,7 +432,8 @@ def _grow(x, ordered, crit, pick_features, max_depth: int, min_split: int = 2, m
 
 def _class_tree(x, y, wv, n_classes, params: TreeParams, pick_features) -> Tree:
     crit = _ClassMass(one_hot(y, n_classes) * wv[y][:, None], params.criterion)
-    return _grow(x, _table_presort(x), crit, pick_features, params.max_depth,
+    ordered = _table_presort(x)
+    return _grow(x, ordered, _sorted_values(x, ordered), crit, pick_features, params.max_depth,
                  params.min_samples_split, params.min_samples_leaf)[0]
 
 
@@ -600,19 +628,22 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     n_cols = max(1, int(round(params.colsample * d)))
     rows, x_rows = np.arange(n), x
     full = ordered = _table_presort(x)
+    xs = _sorted_values(x, full) if n_rows == n else None
     rounds = []
     for round_idx in range(params.n_estimators):
         if n_rows < n:
             rows = np.sort(rng.choice(n, size=n_rows, replace=False))
             x_rows = x[rows]
             ordered = _presort_rows(full, rows)
+            xs = _sorted_values(x_rows, ordered)
         p = softmax(margins[rows])
         class_trees = []
         for k in range(n_classes):
             g = wy[rows] * (p[:, k] - y_hot[rows, k])
             h = wy[rows] * p[:, k] * (1.0 - p[:, k])
             feats = _draw_features(rng, d, n_cols)
-            tree, leaf_of, leaf_totals = _grow(x_rows, ordered, _Newton(g, h, params), lambda: feats, params.max_depth)
+            tree, leaf_of, leaf_totals = _grow(x_rows, ordered, xs, _Newton(g, h, params), lambda: feats,
+                                               params.max_depth)
             if np.all(leaf_totals[:, 1] < _HESSIAN_FLOOR):
                 class_trees.append(None)
                 continue

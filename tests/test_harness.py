@@ -733,6 +733,58 @@ class TestSummarize:
             block_matrix(summaries, metric="recall")
 
 
+def summarize_oracle(results):
+    """``summarize`` as per-group numpy calls over each group's ok rows: the reference."""
+    groups: dict = {}
+    for r in results:
+        groups.setdefault((r.target, r.filter_threshold, r.classifier), []).append(r)
+    rows = []
+    for (target, threshold, cid), rs in sorted(groups.items()):
+        ok = [r for r in rs if r.status == "ok"]
+        if not ok:
+            continue
+        scores = {}
+        for metric in harness.METRICS:
+            vals = np.array([getattr(r, metric) for r in ok])
+            scores[metric + "_mean"], scores[metric + "_std"] = float(vals.mean()), float(vals.std())
+        means = {name: float(np.mean([getattr(r, name) for r in ok])) for name in harness._BLOCK_MEANS}
+        n_skipped = sum(1 for r in rs if r.status == "skipped")
+        rows.append(harness.SummaryRow(cid, target, threshold, len(ok), n_skipped, **means, **scores))
+    return rows
+
+
+# rows over few keys, so groups hold from one to a few dozen runs of mixed status
+_grouped_rows = st.builds(
+    BlockResult,
+    classifier=st.sampled_from(["dt+none", "rf+inverse", "gbt+none"]), target=st.sampled_from(["label", "y"]),
+    filter_threshold=st.sampled_from([1, 5, 60]), seed=st.integers(0, 9),
+    status=st.sampled_from(["ok", "ok", "ok", "skipped", "failed"]), reason=st.just(""),
+    cvcf=st.floats(0, 5), imbalance_ratio=st.floats(1, 1e3), necd=st.floats(0, 1),
+    accuracy=st.floats(0, 1), macro_f1=st.floats(0, 1), train_seconds=st.floats(0, 1e4),
+    weighted_f1=st.one_of(st.floats(0, 1), st.sampled_from([float("nan"), -0.0, 1e-300])),
+    n_train=st.integers(0, 2**40),
+)
+
+
+def _runs_of_every_key(runs, seed):
+    """``runs`` ok rows for each of the 18 keys ``_grouped_rows`` draws from, with random scores."""
+    rng = np.random.default_rng(seed)
+    return [BlockResult(cid, target, threshold, i, cvcf=rng.random(), imbalance_ratio=rng.random() * 1e3,
+                        necd=rng.random(), accuracy=rng.random(), macro_f1=rng.random(),
+                        weighted_f1=rng.random(), train_seconds=rng.exponential(), n_train=int(rng.integers(2**40)))
+            for cid in ("dt+none", "rf+inverse", "gbt+none") for target in ("label", "y")
+            for threshold in (1, 5, 60) for i in range(runs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 17), st.integers(0, 2**32 - 1), st.lists(_grouped_rows, max_size=40))
+def test_summarize_equals_per_group_statistics_bitwise(runs, seed, extra):
+    """Groups of equal size (``extra`` empty) and ragged ones, with skipped and failed rows."""
+    results = _runs_of_every_key(runs, seed) + extra
+    results = [results[i] for i in np.random.default_rng(seed).permutation(len(results))]
+    assert [_bits(s) for s in summarize(results)] == [_bits(s) for s in summarize_oracle(results)]
+
+
 class TestPersistence:
     def results(self):
         config = small_config(strategies=("none",), n_runs=2, filter_thresholds=(1, 200))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from imbench import (
     render_cd_text,
     wilcoxon_signed_rank,
 )
-from imbench.ranking import _midranks
+from imbench.ranking import _escape, _midranks
 
 
 def matrix_of(values, names=None):
@@ -315,8 +316,16 @@ class TestScipyStatsOracle:
         assert chdtrc(df, x) == stats.chi2.sf(x, df)
 
     def test_package_import_leaves_scipy_stats_out(self):
+        """Nor scipy.special (loaded on the first p-value) or xml.sax, which
+        pulls in urllib.request, http.client and ssl."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(imbench.__file__)))
-        code = "import sys, imbench, imbench.cli; print('scipy.stats' in sys.modules)"
+        modules = ("scipy.stats", "scipy.special", "xml.sax", "urllib.request")
+        code = "import sys, imbench, imbench.cli; print([m in sys.modules for m in %r])" % (modules,)
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == str([False] * len(modules))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("&<>;amp lgt\"x\u00e9"), max_size=30))
+    def test_svg_label_escape_equals_saxutils(self, text):
+        assert _escape(text) == saxutils.escape(text)

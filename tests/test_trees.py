@@ -449,6 +449,68 @@ class TestPresortMemo:
         assert trees._presort_memo[0] is x
 
 
+class TestNodeLists:
+    """Each node that may split carries its rows per feature with their values
+    in the same sorted order; a child that cannot split carries neither."""
+
+    @staticmethod
+    def fits(x, y, k, min_split):
+        w = np.linspace(0.5, 2.0, k)
+        return [
+            lambda: dt_fit(x, y, w, TreeParams(max_depth=4, min_samples_split=min_split)),
+            lambda: rf_fit(x, y, w, ForestParams(n_estimators=2, max_depth=3, max_features=0.5,
+                                                 bootstrap=False, min_samples_split=min_split), seed=1),
+            lambda: gbt_fit(x, y, w, GbtParams(n_estimators=2, max_depth=3, colsample=0.7), seed=1),
+        ]
+
+    @FAST
+    @given(presort_tables(), st.integers(2, 12))
+    @pytest.mark.filterwarnings("ignore:boosting round:RuntimeWarning")  # a one-class table has no gradient
+    def test_sorted_values_are_the_rows_values_bitwise(self, table, min_split):
+        x, _ = table
+        n, d = x.shape
+        y = np.arange(n) % 3
+        calls = []
+        best_split = trees._best_split
+
+        def spy(ordered, xs, *args):
+            calls.append(1)
+            for f in range(d):
+                assert xs[f].tobytes() == x[ordered[f], f].tobytes()
+            return best_split(ordered, xs, *args)
+
+        with mock.patch.object(trees, "_best_split", spy):
+            for fit in self.fits(x, y, int(y.max()) + 1, min_split):
+                fit()
+        assert calls or n < 2
+
+    @FAST
+    @given(tied_tables(max_rows=80), st.integers(1, 4), st.integers(2, 20))
+    def test_children_that_cannot_split_get_no_row_lists(self, table, max_depth, min_split):
+        x, y, k = table
+        sizes = []
+        partition = trees._partition
+
+        def spy(keep, ordered, xs):
+            lists = partition(keep, ordered, xs)
+            sizes.append(lists[0].shape[1])
+            return lists
+
+        with mock.patch.object(trees, "_partition", spy):
+            model = dt_fit(x, y, np.ones(k), TreeParams(max_depth=max_depth, min_samples_split=min_split))
+        tree = model.root
+        size = np.bincount(tree.apply(x), minlength=len(tree.feature))
+        depth = np.zeros(len(tree.feature), dtype=np.intp)
+        inner = np.flatnonzero(tree.feature >= 0)
+        for node in inner:  # pre-order: a parent precedes its children
+            depth[[tree.children_left[node], tree.children_right[node]]] = depth[node] + 1
+        for node in inner[::-1]:
+            size[node] = size[tree.children_left[node]] + size[tree.children_right[node]]
+        children = np.concatenate([tree.children_left[inner], tree.children_right[inner]])
+        can_split = children[(depth[children] < max_depth) & (size[children] >= min_split)]
+        assert sorted(sizes) == sorted(size[can_split].tolist())
+
+
 class TestSplitProperties:
     @FAST
     @given(tied_tables(), st.integers(1, 4))
