@@ -753,7 +753,7 @@ def summarize_oracle(results):
     return rows
 
 
-# rows over few keys, so groups hold from one to a few dozen runs of mixed status
+# rows of mixed status over the 18 keys of _runs_of_every_key, which make its equal-size groups ragged
 _grouped_rows = st.builds(
     BlockResult,
     classifier=st.sampled_from(["dt+none", "rf+inverse", "gbt+none"]), target=st.sampled_from(["label", "y"]),

@@ -316,7 +316,7 @@ class TestScipyStatsOracle:
         assert chdtrc(df, x) == stats.chi2.sf(x, df)
 
     def test_package_import_leaves_scipy_stats_out(self):
-        """Nor scipy.special (loaded on the first p-value) or xml.sax, which
+        """Nor scipy.special (loaded on the first p-value), nor xml.sax, which
         pulls in urllib.request, http.client and ssl."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(imbench.__file__)))
         modules = ("scipy.stats", "scipy.special", "xml.sax", "urllib.request")

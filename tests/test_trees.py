@@ -453,16 +453,6 @@ class TestNodeLists:
     """Each node that may split carries its rows per feature with their values
     in the same sorted order; a child that cannot split carries neither."""
 
-    @staticmethod
-    def fits(x, y, k, min_split):
-        w = np.linspace(0.5, 2.0, k)
-        return [
-            lambda: dt_fit(x, y, w, TreeParams(max_depth=4, min_samples_split=min_split)),
-            lambda: rf_fit(x, y, w, ForestParams(n_estimators=2, max_depth=3, max_features=0.5,
-                                                 bootstrap=False, min_samples_split=min_split), seed=1),
-            lambda: gbt_fit(x, y, w, GbtParams(n_estimators=2, max_depth=3, colsample=0.7), seed=1),
-        ]
-
     @FAST
     @given(presort_tables(), st.integers(2, 12))
     @pytest.mark.filterwarnings("ignore:boosting round:RuntimeWarning")  # a one-class table has no gradient
@@ -470,6 +460,7 @@ class TestNodeLists:
         x, _ = table
         n, d = x.shape
         y = np.arange(n) % 3
+        w = np.linspace(0.5, 2.0, int(y.max()) + 1)
         calls = []
         best_split = trees._best_split
 
@@ -480,8 +471,10 @@ class TestNodeLists:
             return best_split(ordered, xs, *args)
 
         with mock.patch.object(trees, "_best_split", spy):
-            for fit in self.fits(x, y, int(y.max()) + 1, min_split):
-                fit()
+            dt_fit(x, y, w, TreeParams(max_depth=4, min_samples_split=min_split))
+            rf_fit(x, y, w, ForestParams(n_estimators=2, max_depth=3, max_features=0.5, bootstrap=False,
+                                         min_samples_split=min_split), seed=1)
+            gbt_fit(x, y, w, GbtParams(n_estimators=2, max_depth=3, colsample=0.7), seed=1)
         assert calls or n < 2
 
     @FAST
