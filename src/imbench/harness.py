@@ -77,8 +77,8 @@ class ExperimentConfig:
             thresholds = tuple(int(t) for t in self.filter_thresholds)
             if not thresholds or any(t < 1 for t in thresholds):
                 raise ValueError("filter_thresholds must be >= 1")
-            if list(thresholds) != sorted(thresholds):
-                raise ValueError("filter_thresholds must be ascending")
+            if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+                raise ValueError("filter_thresholds must be strictly ascending, got %s" % (thresholds,))
             object.__setattr__(self, "filter_thresholds", thresholds)
         if not self.strategies or any(s not in STRATEGIES for s in self.strategies):
             raise ValueError("strategies must be drawn from %s" % (STRATEGIES,))
@@ -91,8 +91,8 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         check_beta(self.beta)
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "strategies", _once(self.strategies, "strategies"))
+        object.__setattr__(self, "families", _once(self.families, "families"))
         _known(self.model_params, self.families, "model_params, which may name only the families %s" % (self.families,))
         object.__setattr__(self, "fractions", check_fractions(self.fractions))
 
@@ -101,6 +101,16 @@ class ExperimentConfig:
         """The label column the rows name: the schema's for a CSV source,
         ``"label"`` for a synthetic one."""
         return "label" if self.synth is not None else load_schema(self.schema_path).label_column
+
+
+def _once(values, where: str) -> tuple:
+    """``values`` as a tuple, or a ValueError naming the first one repeated
+    (a repeat would run its blocks twice and count each seed twice)."""
+    values = tuple(values)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError("%s names %r more than once" % (where, value))
+    return values
 
 
 def _known(obj: dict, allowed, where: str) -> dict:

@@ -6,14 +6,14 @@ Split search is exact over midpoints of sorted unique feature values; equal
 scores resolve to the lowest feature index, then the lowest threshold, so
 training is fully deterministic given the seed.
 
-All three families grow trees with one engine (``_grow``): each feature is
-sorted once per tree and splits partition the sorted row lists stably (the
-presort of SLIQ and CART).  A node that may split carries, per feature, its
-row ids and their values in sorted order (SPRINT's attribute lists), and a
-split partitions both with one ``np.compress`` over the flattened arrays; a
-child that cannot split (by depth or size) carries only its row ids.  Inside
-a sweep slice the dt and gbt fits share one presort of the slice's training
-table (``_table_presort``).  One kernel scores a block of features per pass
+All three families grow trees with one engine (``_grow``) from one presort
+per training table (that of SLIQ and CART): splits partition the sorted row
+lists stably.  A node that may split carries, per feature, its row ids and
+their values in sorted order (SPRINT's attribute lists), and a split
+partitions both with one ``np.compress`` over the flattened arrays; a child
+that cannot split carries only its row ids.  A subsampled gbt round cuts its
+lists from the table's (``_table_lists``, shared by the dt and gbt fits of a
+sweep slice) the same way.  One kernel scores a block of features per pass
 for the Gini/entropy and the Newton criterion.  Trees are flat node arrays.
 """
 
@@ -306,38 +306,33 @@ def _presort(x: np.ndarray) -> np.ndarray:
     return order
 
 
-# [x, _presort(x)] of the read-only table presorted last; kept only while
+# [x, (ordered, xs)] of the read-only table sorted last; kept only while
 # harness._run_slice runs, so the dt and gbt fits of one sweep slice sort its
 # training table once
 _presort_memo = None
 
 
-def _table_presort(x: np.ndarray) -> np.ndarray:
-    """``_presort(x)``, kept for the next fit of the same ``x`` inside a
-    sweep slice.  Only a read-only array that owns its data is kept, keyed
-    on its identity: nothing can change it in place.  Any other array (rf's
-    bootstraps, a caller's writable table) is sorted afresh every time."""
+def _table_lists(x: np.ndarray) -> tuple:
+    """``(_presort(x), its sorted values)``, kept for the next fit of the same
+    ``x`` inside a sweep slice.  Only a read-only array that owns its data is
+    kept, keyed on its identity: nothing can change it in place.  Any other
+    array (rf's bootstraps, a writable table) is sorted afresh every time."""
     memo = _presort_memo
-    if memo is None or x.flags.writeable or not x.flags.owndata:
-        return _presort(x)
-    if memo[0] is not x:
-        order = _presort(x)
-        order.setflags(write=False)
-        memo[:] = [x, order]
-    return memo[1]
+    keep = memo is not None and not x.flags.writeable and x.flags.owndata
+    if keep and memo[0] is x:
+        return memo[1]
+    ordered = _presort(x)
+    lists = ordered, _sorted_values(x, ordered)
+    if keep:
+        for a in lists:
+            a.setflags(write=False)
+        memo[:] = [x, lists]
+    return lists
 
 
 def _increasing(v: np.ndarray) -> np.ndarray:
     """Per row of ``v``: are its values strictly increasing (no tie, no NaN)?"""
     return np.all(v[:, 1:] > v[:, :-1], axis=1)
-
-
-def _presort_rows(full: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_presort(x[rows])`` for ascending ``rows``, filtered from ``full = _presort(x)``."""
-    pos = np.full(full.shape[1], -1, dtype=np.intp)
-    pos[rows] = np.arange(rows.size)
-    kept = pos[full]
-    return kept[kept >= 0].reshape(full.shape[0], rows.size)
 
 
 def _sorted_values(x: np.ndarray, ordered: np.ndarray) -> np.ndarray:
@@ -349,7 +344,7 @@ def _sorted_values(x: np.ndarray, ordered: np.ndarray) -> np.ndarray:
 
 def _partition(keep: np.ndarray, ordered: np.ndarray, xs: np.ndarray) -> tuple:
     """The rows per feature and their sorted values where the flat mask ``keep``
-    is set, still in sorted order: the lists a child node carries."""
+    is set, still in sorted order: a child node's lists or a boosting round's."""
     d = ordered.shape[0]
     return np.compress(keep, ordered).reshape(d, -1), np.compress(keep, xs).reshape(d, -1)
 
@@ -384,22 +379,22 @@ def _best_split(ordered, xs, crit, total, feats, min_leaf):
     return best
 
 
-def _grow(x, ordered, xs, crit, pick_features, max_depth: int, min_split: int = 2, min_leaf: int = 1):
-    """Grow one tree over the rows of ``x``, depth first, left before right.
+def _grow(x, rows, ordered, xs, crit, pick_features, max_depth: int, min_split: int = 2, min_leaf: int = 1):
+    """Grow one tree over ``rows`` of ``x``, depth first, left before right.
 
-    ``ordered`` comes from ``_presort(x)`` and ``xs`` from
-    ``_sorted_values(x, ordered)``.  ``pick_features()`` returns the
+    ``ordered`` lists the ascending ``rows`` per feature in presorted order,
+    with their values in ``xs``.  ``pick_features()`` returns the
     ascending feature ids to search at each node that may split.  A child
     that cannot split (at ``max_depth`` or below ``min_split`` rows) gets no
-    row lists.  Returns the tree, the leaf id of every row, and the
-    statistic totals of each leaf in ascending leaf-id order.
+    row lists.  Returns the tree, the leaf id of each row of ``x`` (set only
+    at ``rows``), and the statistic totals of each leaf in leaf-id order.
     """
     n = x.shape[0]
     goes_left = np.zeros(n, dtype=bool)
     leaf_of = np.zeros(n, dtype=np.intp)
     nodes = [[-1, 0.0, -1, -1]]  # feature, threshold, left child, right child
     leaves = {}  # node -> (value, totals)
-    stack = [(0, 0, np.arange(n), (ordered, xs), None)]  # node, depth, rows ascending, lists, parent value
+    stack = [(0, 0, rows, (ordered, xs), None)]  # node, depth, rows ascending, lists, parent value
     while stack:
         node, depth, idx, lists, parent = stack.pop()
         total, value, may_split = crit.node(idx, parent)
@@ -432,8 +427,7 @@ def _grow(x, ordered, xs, crit, pick_features, max_depth: int, min_split: int = 
 
 def _class_tree(x, y, wv, n_classes, params: TreeParams, pick_features) -> Tree:
     crit = _ClassMass(one_hot(y, n_classes) * wv[y][:, None], params.criterion)
-    ordered = _table_presort(x)
-    return _grow(x, ordered, _sorted_values(x, ordered), crit, pick_features, params.max_depth,
+    return _grow(x, np.arange(x.shape[0]), *_table_lists(x), crit, pick_features, params.max_depth,
                  params.min_samples_split, params.min_samples_leaf)[0]
 
 
@@ -605,8 +599,9 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     Per round and class k the tree regresses the Newton statistics
     g_i = w_{y_i} (p_{i,k} - [y_i = k]) and h_i = w_{y_i} p_{i,k} (1 - p_{i,k});
     margins start at the log class priors.  Rows are subsampled per round and
-    feature columns per tree.  The fit presorts once; a subsampled round
-    filters its rows' order from that presort.
+    feature columns per tree.  A subsampled round cuts its lists from the
+    table's with ``_partition``, as a split does, and walks only the rows
+    outside the round down each tree.
     """
     params = params or GbtParams()
     x = np.asarray(x, dtype=np.float64)
@@ -626,29 +621,31 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     rng = np.random.default_rng(seed)
     n_rows = max(2, int(round(params.subsample * n)))
     n_cols = max(1, int(round(params.colsample * d)))
-    rows, x_rows = np.arange(n), x
-    full = ordered = _table_presort(x)
-    xs = _sorted_values(x, full) if n_rows == n else None
+    table = _table_lists(x)
+    rows, lists, out = np.arange(n), table, np.arange(0)
+    g, h = np.zeros(n), np.zeros(n)  # Newton statistics, set at the round's rows
     rounds = []
     for round_idx in range(params.n_estimators):
         if n_rows < n:
             rows = np.sort(rng.choice(n, size=n_rows, replace=False))
-            x_rows = x[rows]
-            ordered = _presort_rows(full, rows)
-            xs = _sorted_values(x_rows, ordered)
+            in_round = np.zeros(n, dtype=bool)
+            in_round[rows] = True
+            lists = _partition(in_round[table[0]].ravel(), *table)
+            out = np.flatnonzero(~in_round)
+        x_out = x[out]
         p = softmax(margins[rows])
         class_trees = []
         for k in range(n_classes):
-            g = wy[rows] * (p[:, k] - y_hot[rows, k])
-            h = wy[rows] * p[:, k] * (1.0 - p[:, k])
+            g[rows] = wy[rows] * (p[:, k] - y_hot[rows, k])
+            h[rows] = wy[rows] * p[:, k] * (1.0 - p[:, k])
             feats = _draw_features(rng, d, n_cols)
-            tree, leaf_of, leaf_totals = _grow(x_rows, ordered, xs, _Newton(g, h, params), lambda: feats,
+            tree, leaf_of, leaf_totals = _grow(x, rows, *lists, _Newton(g, h, params), lambda: feats,
                                                params.max_depth)
             if np.all(leaf_totals[:, 1] < _HESSIAN_FLOOR):
                 class_trees.append(None)
                 continue
-            step = tree.value[leaf_of, 0] if n_rows == n else tree.predict(x)[:, 0]
-            margins[:, k] += params.learning_rate * step
+            leaf_of[out] = tree.apply(x_out)
+            margins[:, k] += params.learning_rate * tree.value[leaf_of, 0]
             class_trees.append(tree)
         if all(t is None for t in class_trees):
             warnings.warn(

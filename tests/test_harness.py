@@ -222,6 +222,23 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=">= 1"):
             small_config(filter_thresholds=(0, 1))
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"filter_thresholds": (1, 5, 5)}, r"strictly ascending, got \(1, 5, 5\)"),
+        ({"strategies": ("none", "inverse", "none")}, "strategies names 'none' more than once"),
+        ({"families": ("dt", "dt")}, "families names 'dt' more than once"),
+    ])
+    def test_repeated_sweep_axis_is_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**setting)
+
+    def test_repeated_sweep_axis_in_a_config_file_is_rejected(self, tmp_path):
+        obj = {"dataset": {"synth": {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}},
+               "filter_thresholds": [5, 5], "strategies": ["none"], "families": ["dt"], "n_runs": 2}
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="ascending"):
+            load_experiment_config(p)
+
     def test_strategy_and_family_validation(self):
         with pytest.raises(ValueError, match="strategies"):
             small_config(strategies=("oversample",))
@@ -551,17 +568,22 @@ class TestRunSweep:
 
     def test_each_slice_training_table_is_presorted_once(self, monkeypatch):
         """In a sweep the dt and gbt blocks of a slice share one presort of
-        its training table, rf still presorts each bootstrap, the rows are
-        those of independent fit_block calls, and no presort outlives the
-        slice."""
-        presorted = []
+        its training table and one set of its sorted values, rf still sorts
+        each bootstrap, the rows are those of independent fit_block calls,
+        and no presort outlives the slice."""
+        presorted, valued = [], []
 
         def counted(x):
             presorted.append(x)
             return presort(x)
 
-        presort = trees._presort
+        def counted_values(x, ordered):
+            valued.append(x)
+            return sorted_values(x, ordered)
+
+        presort, sorted_values = trees._presort, trees._sorted_values
         monkeypatch.setattr(trees, "_presort", counted)
+        monkeypatch.setattr(trees, "_sorted_values", counted_values)
         config = small_config(families=("dt", "rf", "gbt"), strategies=("none", "inverse"),
                               filter_thresholds=(1, 60, 200), n_runs=2,
                               model_params={"dt": {"max_depth": 3}, "rf": {"n_estimators": 2, "max_depth": 3},
@@ -575,8 +597,11 @@ class TestRunSweep:
         assert len({id(x) for x in tables}) == len(tables) == len(slices)
         assert sorted(x.tobytes() for x in tables) == sorted(p[2].features.tobytes() for p in slices)
         assert len(bootstraps) == len(slices) * 2 * 2  # strategies x trees
+        assert len(valued) == len(tables) + len(bootstraps)  # one per slice table, one per bootstrap
+        assert all(v is p for v, p in zip(valued, presorted))
 
         presorted.clear()
+        valued.clear()
         independent = {
             (r.classifier, r.filter_threshold, r.seed): r
             for family in config.families for strategy in config.strategies
@@ -585,7 +610,7 @@ class TestRunSweep:
                                         params=config.model_params[family])]
         }
         assert trees._presort_memo is None  # a direct fit_block call keeps no presort
-        assert len(presorted) == len(slices) * 2 * (1 + 2 + 1)  # every fit presorts for itself
+        assert len(presorted) == len(valued) == len(slices) * 2 * (1 + 2 + 1)  # every fit sorts for itself
         assert len(results) == len(independent) == 36
         assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
         assert sum(r.status == "ok" for r in results) == 24

@@ -409,9 +409,10 @@ class TestPresortMemo:
                 gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2)),
                 dt_fit(x, y, np.ones(3), TreeParams(max_depth=3))]
         assert len(calls) == 1 and calls[0] is x
-        kept, order = trees._presort_memo
-        assert kept is x and not order.flags.writeable
+        kept, (order, values) = trees._presort_memo
+        assert kept is x and not order.flags.writeable and not values.flags.writeable
         np.testing.assert_array_equal(order, np.argsort(x, axis=0, kind="stable").T)
+        assert values.tobytes() == np.take_along_axis(x, order.T, axis=0).T.tobytes()
         trees._presort_memo = None
         fresh = [dt_fit(x, y, np.ones(3), TreeParams(max_depth=3)),
                  gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2))]
@@ -465,7 +466,8 @@ class TestNodeLists:
         best_split = trees._best_split
 
         def spy(ordered, xs, *args):
-            calls.append(1)
+            calls.append(ordered.shape[1])
+            assert (np.sort(ordered, axis=1) == np.sort(ordered[0])).all()  # one set of rows per node
             for f in range(d):
                 assert xs[f].tobytes() == x[ordered[f], f].tobytes()
             return best_split(ordered, xs, *args)
@@ -475,7 +477,10 @@ class TestNodeLists:
             rf_fit(x, y, w, ForestParams(n_estimators=2, max_depth=3, max_features=0.5, bootstrap=False,
                                          min_samples_split=min_split), seed=1)
             gbt_fit(x, y, w, GbtParams(n_estimators=2, max_depth=3, colsample=0.7), seed=1)
-        assert calls or n < 2
+            assert calls or n < 2
+            calls.clear()
+            gbt_fit(x, y, w, GbtParams(n_estimators=2, max_depth=3, subsample=0.6, colsample=0.7), seed=1)
+        assert n < 2 or max(calls) == max(2, round(0.6 * n))  # a root holds only its round's rows
 
     @FAST
     @given(tied_tables(max_rows=80), st.integers(1, 4), st.integers(2, 20))
@@ -517,14 +522,24 @@ class TestSplitProperties:
         else:
             assert (tree.feature[0], tree.threshold[0]) == expected
 
+    @staticmethod
+    def assert_round_lists_are_a_fresh_sort(x, rows):
+        """A boosting round's lists, cut from the table's, are bitwise the
+        presort of ``x[rows]`` in the table's row ids, with its values."""
+        in_round = np.zeros(len(x), dtype=bool)
+        in_round[rows] = True
+        ordered, xs = trees._table_lists(x)
+        ordered, xs = trees._partition(in_round[ordered].ravel(), ordered, xs)
+        expected = rows[trees._presort(x[rows])]
+        assert ordered.shape == expected.shape and ordered.tobytes() == expected.tobytes()
+        assert xs.tobytes() == np.take_along_axis(x, expected.T, axis=0).T.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(tied_tables(), st.data())
     def test_row_subset_presort_matches_a_fresh_sort(self, table, data):
         x, _, _ = table
-        n = x.shape[0]
-        rows = np.flatnonzero(data.draw(hnp.arrays(np.bool_, n)))
-        filtered = trees._presort_rows(trees._presort(x), rows)
-        np.testing.assert_array_equal(filtered, trees._presort(x[rows]))
+        rows = np.flatnonzero(data.draw(hnp.arrays(np.bool_, x.shape[0])))
+        self.assert_round_lists_are_a_fresh_sort(x, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(presort_tables(), rare_tie_tables()))
@@ -535,7 +550,7 @@ class TestSplitProperties:
         x, rows = table
         expected = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
         assert trees._presort(x).tobytes() == expected.tobytes()
-        np.testing.assert_array_equal(trees._presort_rows(trees._presort(x), rows), trees._presort(x[rows]))
+        self.assert_round_lists_are_a_fresh_sort(x, rows)
 
     @FAST
     @given(tied_tables(), st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4))
