@@ -240,8 +240,9 @@ def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, 
     scored, or None unless the status is "ok".  Degenerate filtering or split
     preconditions turn into a skipped result, and an exception from the
     model's fit or predict into a failed one (reason ``"<ExcType>:
-    <message>"``), rather than an exception.  Back-to-back calls on one
-    (threshold, seed) slice of the same ``data`` filter and split it once."""
+    <message>"``), rather than an exception.  Each call filters and splits
+    ``data`` itself, and a tree fit sorts its own table; only the blocks of
+    a sweep slice (``_run_slice``) share one filter, split and presort."""
     cid = classifier_id(family, strategy)
     spec = get_family(family)
     merged = {**spec.default_params, **(params or {})}

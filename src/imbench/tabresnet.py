@@ -3,8 +3,9 @@
 Topology: an input stage (linear -> batch norm -> ReLU -> dropout), a stack
 of residual blocks (linear -> BN -> ReLU -> dropout -> linear -> BN, skip
 connection added, then ReLU), an optional reduction stage (linear to half
-width -> ReLU), and a linear output head.  Forward and backward passes are
-written by hand; the optimizer is Adam with decoupled weight decay.
+width -> ReLU), and a linear output head, built as one layer sequence.  Each
+layer's forward and backward pass is written by hand; the optimizer is Adam
+with decoupled weight decay.
 
 Training minimizes the class-weighted categorical cross-entropy (or the
 binary cross-entropy with a single-logit head when requested for two-class
@@ -99,20 +100,13 @@ class TrainHistory:
 
 
 class _Layer:
-    """A layer with trainable arrays: ``SLOTS`` pairs each parameter
-    attribute with the attribute holding its gradient.  Inside a
+    """One step of a network: ``forward(x, train, rng)``, and ``backward(g)``
+    returning the gradient with respect to ``x``.  ``SLOTS`` pairs each
+    parameter attribute with the attribute holding its gradient.  Inside a
     ``_Network`` both are views of the network's flat vectors, so
     ``backward`` writes gradients in place and never rebinds them."""
 
     SLOTS = ()
-
-    @property
-    def params(self):
-        return [getattr(self, p) for p, _ in self.SLOTS]
-
-    @property
-    def grads(self):
-        return [getattr(self, g) for _, g in self.SLOTS]
 
 
 class _Linear(_Layer):
@@ -126,7 +120,7 @@ class _Linear(_Layer):
         self.gb = np.zeros_like(self.b)
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._x = x
         out = x @ self.w
         out += self.b
@@ -154,7 +148,7 @@ class _BatchNorm(_Layer):
         self.gbeta = np.zeros_like(self.beta)
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         if train:
             n = x.shape[0]
             mu = np.add.reduce(x, 0) / n
@@ -189,11 +183,11 @@ class _BatchNorm(_Layer):
         return gxhat * inv_std + gvar * (2.0 / n) * centered + gmu / n
 
 
-class _ReLU:
+class _ReLU(_Layer):
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng=None) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
 
@@ -201,7 +195,7 @@ class _ReLU:
         return g * self._mask
 
 
-class _Dropout:
+class _Dropout(_Layer):
     """Inverted dropout: surviving activations are scaled by 1/keep during
     training so the expected value matches eval mode."""
 
@@ -209,7 +203,7 @@ class _Dropout:
         self.rate = rate
         self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
         if not train or self.rate == 0.0:
             self._mask = None
             return x
@@ -223,138 +217,105 @@ class _Dropout:
         return g * self._mask
 
 
-class _ResidualBlock:
+class _Sequential(_Layer):
+    """Layers run in order forward and in reverse order backward."""
+
+    def __init__(self, *layers):
+        self.layers = layers
+
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, train, rng)
+        return x
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            g = layer.backward(g)
+        return g
+
+    def walk(self):
+        """Every layer that is not a sequence, nested ones too, in forward order."""
+        for layer in self.layers:
+            if isinstance(layer, _Sequential):
+                yield from layer.walk()
+            else:
+                yield layer
+
+
+class _ResidualBlock(_Sequential):
+    """The branch linear -> BN -> ReLU -> dropout -> linear -> BN, its input
+    added back through the skip connection, then ReLU."""
+
     def __init__(self, width: int, dropout: float, rng: np.random.Generator):
-        self.lin1 = _Linear(width, width, rng)
-        self.bn1 = _BatchNorm(width)
-        self.relu1 = _ReLU()
-        self.drop = _Dropout(dropout)
-        self.lin2 = _Linear(width, width, rng)
-        self.bn2 = _BatchNorm(width)
+        super().__init__(_Linear(width, width, rng), _BatchNorm(width), _ReLU(), _Dropout(dropout),
+                         _Linear(width, width, rng), _BatchNorm(width))
         self.relu_out = _ReLU()
 
-    def forward(self, x: np.ndarray, train: bool, rng) -> np.ndarray:
-        h = self.lin1.forward(x)
-        h = self.bn1.forward(h, train)
-        h = self.relu1.forward(h)
-        h = self.drop.forward(h, train, rng)
-        h = self.lin2.forward(h)
-        h = self.bn2.forward(h, train)
-        return self.relu_out.forward(h + x)
+    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
+        return self.relu_out.forward(super().forward(x, train, rng) + x, train)
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(g)
-        skip = g  # gradient flowing through the identity path
-        g = self.bn2.backward(g)
-        g = self.lin2.backward(g)
-        g = self.drop.backward(g)
-        g = self.relu1.backward(g)
-        g = self.bn1.backward(g)
-        g = self.lin1.backward(g)
-        return g + skip
-
-    @property
-    def layers(self):
-        return [self.lin1, self.bn1, self.lin2, self.bn2]
+        return super().backward(g) + g
 
 
-class _Network:
-    """The bare network: parameters, forward, backward.
+class _Network(_Sequential):
+    """The bare network, one layer sequence: the input stage, the residual
+    blocks, the optional reduction stage and the linear head.
 
     Every parameter is a view of one flat vector, ``flat_params``, and every
-    gradient a view of ``flat_grads``, in ``parameters()`` order, so the
-    optimizer updates the whole network in one pass.
+    gradient a view of ``flat_grads``, in forward order (``parameters()``),
+    so the optimizer updates the whole network in one pass.
     """
 
     def __init__(self, cfg: ResNetConfig):
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         h = cfg.hidden_dim
-        self.input_lin = _Linear(cfg.n_features, h, rng)
-        self.input_bn = _BatchNorm(h)
-        self.input_relu = _ReLU()
-        self.input_drop = _Dropout(cfg.dropout)
-        self.blocks = [_ResidualBlock(h, cfg.dropout, rng) for _ in range(cfg.n_blocks)]
-        out_width = 1 if cfg.binary_mode else cfg.n_classes
+        layers = [_Linear(cfg.n_features, h, rng), _BatchNorm(h), _ReLU(), _Dropout(cfg.dropout)]
+        layers += [_ResidualBlock(h, cfg.dropout, rng) for _ in range(cfg.n_blocks)]
+        head_in = h // 2 if cfg.use_reduction else h
         if cfg.use_reduction:
-            self.reduce_lin = _Linear(h, h // 2, rng)
-            self.reduce_relu = _ReLU()
-            self.output_lin = _Linear(h // 2, out_width, rng)
-        else:
-            self.reduce_lin = None
-            self.reduce_relu = None
-            self.output_lin = _Linear(h, out_width, rng)
-        slots = [(layer, p, g) for layer in self._layers() for p, g in layer.SLOTS]
-        self.flat_params = np.concatenate([getattr(layer, p).ravel() for layer, p, _ in slots])
+            layers += [_Linear(h, head_in, rng), _ReLU()]
+        layers.append(_Linear(head_in, 1 if cfg.binary_mode else cfg.n_classes, rng))
+        super().__init__(*layers)
+        self._norms = [layer for layer in self.walk() if isinstance(layer, _BatchNorm)]
+        self._slots = [(layer, p, g) for layer in self.walk() for p, g in layer.SLOTS]
+        self.flat_params = np.concatenate([getattr(layer, p).ravel() for layer, p, _ in self._slots])
         self.flat_grads = np.zeros_like(self.flat_params)
         start = 0
-        for layer, p, g in slots:
+        for layer, p, g in self._slots:
             arr = getattr(layer, p)
             span = slice(start, start + arr.size)
             setattr(layer, p, self.flat_params[span].reshape(arr.shape))
             setattr(layer, g, self.flat_grads[span].reshape(arr.shape))
             start += arr.size
 
-    def _layers(self):
-        layers = [self.input_lin, self.input_bn]
-        for blk in self.blocks:
-            layers.extend(blk.layers)
-        if self.reduce_lin is not None:
-            layers.append(self.reduce_lin)
-        layers.append(self.output_lin)
-        return layers
-
     def parameters(self):
-        out = []
-        for layer in self._layers():
-            out.extend(layer.params)
-        return out
+        return [getattr(layer, p) for layer, p, _ in self._slots]
 
     def gradients(self):
-        out = []
-        for layer in self._layers():
-            out.extend(layer.grads)
-        return out
+        return [getattr(layer, g) for layer, _, g in self._slots]
 
     def buffers(self):
-        out = []
-        for layer in self._layers():
-            if isinstance(layer, _BatchNorm):
-                out.extend([layer.running_mean, layer.running_var])
-        return out
+        return [a for bn in self._norms for a in (bn.running_mean, bn.running_var)]
 
     def n_parameters(self) -> int:
         return self.flat_params.size
-
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
-        h = self.input_lin.forward(x)
-        h = self.input_bn.forward(h, train)
-        h = self.input_relu.forward(h)
-        h = self.input_drop.forward(h, train, rng)
-        for blk in self.blocks:
-            h = blk.forward(h, train, rng)
-        if self.reduce_lin is not None:
-            h = self.reduce_relu.forward(self.reduce_lin.forward(h))
-        return self.output_lin.forward(h)
-
-    def backward(self, g_logits: np.ndarray) -> None:
-        g = self.output_lin.backward(g_logits)
-        if self.reduce_lin is not None:
-            g = self.reduce_lin.backward(self.reduce_relu.backward(g))
-        for blk in reversed(self.blocks):
-            g = blk.backward(g)
-        g = self.input_drop.backward(g)
-        g = self.input_relu.backward(g)
-        g = self.input_bn.backward(g)
-        self.input_lin.backward(g)
 
     def state(self) -> list:
         return [a.copy() for a in self.parameters() + self.buffers()]
 
     def load_state(self, state: list) -> None:
+        """Copy ``state()``'s arrays back in; a state of another length or
+        with an array of another shape is rejected before any is written."""
         arrays = self.parameters() + self.buffers()
         if len(arrays) != len(state):
-            raise ValueError("state length mismatch")
+            raise ValueError("state has %d arrays, the network %d" % (len(state), len(arrays)))
+        for i, (dst, src) in enumerate(zip(arrays, state)):
+            if np.shape(src) != dst.shape:
+                raise ValueError("state array %d has shape %s, the network's has %s"
+                                 % (i, np.shape(src), dst.shape))
         for dst, src in zip(arrays, state):
             dst[...] = src
 
@@ -424,8 +385,7 @@ class TabResNetModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "TabResNetModel":
-        cfg = ResNetConfig(**obj["config"])
-        model = TabResNetModel(_Network(cfg), cfg)
+        model = nn_build(ResNetConfig(**obj["config"]))
         state = [
             np.asarray(a["values"], dtype=np.float64).reshape(a["shape"]) for a in obj["arrays"]
         ]

@@ -176,7 +176,17 @@ class Tree:
         if not isinstance(obj.get("feature"), list):
             raise ValueError("tree uses the nested node layout ({feature, threshold, left, right} / {scores} "
                              "objects), which this version no longer reads; refit and save the model again")
-        return Tree(obj["feature"], obj["threshold"], obj["left"], obj["right"], obj["value"])
+        tree = Tree(obj["feature"], obj["threshold"], obj["left"], obj["right"], obj["value"])
+        n = len(tree.feature)
+        arrays = (tree.threshold, tree.children_left, tree.children_right, tree.value)
+        if n == 0 or tree.feature.ndim != 1 or any(a.ndim == 0 or len(a) != n for a in arrays):
+            raise ValueError("tree node arrays must be non-empty and all of one length")
+        # a child before its node could make apply loop forever, one past the end fail there
+        inner = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.children_left[inner], tree.children_right[inner]):
+            if np.any(child <= inner) or np.any(child >= n):
+                raise ValueError("tree child links must point after their node and inside the tree")
+        return tree
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:

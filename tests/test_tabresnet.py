@@ -70,9 +70,10 @@ class TestArchitecture:
 
     def test_zeroed_residual_branch_is_relu_of_input(self, rng):
         net = nn_build(small_cfg(hidden_dim=8)).net
-        block = net.blocks[0]
-        block.lin2.w[...] = 0.0
-        block.lin2.b[...] = 0.0
+        block = net.layers[4]  # after the input stage's linear, BN, ReLU and dropout
+        lin2 = block.layers[4]  # the branch's second linear
+        lin2.w[...] = 0.0
+        lin2.b[...] = 0.0
         x = rng.normal(size=(12, 8))
         out = block.forward(x, train=False, rng=None)
         np.testing.assert_array_equal(out, np.maximum(x, 0.0))
@@ -173,9 +174,10 @@ class TestGradients:
         # dL/db for the head is the column sum of the logit gradient:
         # (1/N) sum_i w_{y_i} (softmax(0) - onehot_i)
         expected = (wv[y][:, None] * (1.0 / 3 - one_hot(y, 3))).sum(axis=0) / 16
-        np.testing.assert_allclose(net.output_lin.gb, expected, rtol=1e-12)
+        head = net.layers[-1]
+        np.testing.assert_allclose(head.gb, expected, rtol=1e-12)
         for layer_grads in net.gradients():
-            if layer_grads is net.output_lin.gb:
+            if layer_grads is head.gb:
                 continue
             np.testing.assert_array_equal(layer_grads, 0.0)
 
@@ -293,3 +295,33 @@ class TestSerialization:
         assert clone.family == "tabresnet"
         probe = rng.normal(size=(20, 4))
         np.testing.assert_array_equal(clone.predict_proba(probe), model.predict_proba(probe))
+
+    @pytest.mark.parametrize("index, shape, n_values", [
+        (1, [1], 1),  # the input bias, one value where there are eight
+        (0, [4, 1], 4),  # the (4, 8) input weight, one column
+        (0, [8, 4], 32),  # the input weight, transposed
+        (-1, [1, 8], 8),  # the last running variance, one row
+    ])
+    def test_mis_shaped_array_is_rejected(self, index, shape, n_values):
+        from imbench import TabResNetModel
+
+        obj = nn_build(small_cfg()).to_dict()
+        obj["arrays"][index] = {"shape": shape, "values": [0.5] * n_values}
+        with pytest.raises(ValueError, match="shape"):
+            TabResNetModel.from_dict(obj)
+
+    def test_file_layout_is_pinned(self):
+        """The order and shapes of ``arrays`` are the network file format:
+        parameters in forward order, then each batch norm's running mean and
+        variance."""
+        def shapes(**kw):
+            return [a["shape"] for a in nn_build(ResNetConfig(**kw)).to_dict()["arrays"]]
+
+        block = [[8, 8], [8], [8], [8]] * 2  # twice: linear weight and bias, BN scale and shift
+        buffers = [[8], [8]]  # running mean, running variance
+        assert shapes(n_features=3, n_classes=4, hidden_dim=8, n_blocks=2, use_reduction=True) == (
+            [[3, 8], [8], [8], [8]] + block * 2 + [[8, 4], [4], [4, 4], [4]] + buffers * 5
+        )
+        assert shapes(n_features=3, n_classes=2, hidden_dim=8, n_blocks=1, binary_mode=True) == (
+            [[3, 8], [8], [8], [8]] + block + [[8, 1], [1]] + buffers * 3
+        )

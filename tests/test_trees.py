@@ -273,6 +273,23 @@ class TestSerialization:
         with pytest.raises(ValueError, match="nested node layout"):
             load_model(p)
 
+    @pytest.mark.parametrize("case", ["self_loop", "past_the_end", "short_threshold"])
+    def test_bad_node_arrays_rejected(self, tmp_path, case):
+        xtr, ytr, _, _ = blob_split(300, 3, 5, 2.0, seed=4)
+        obj = dt_fit(xtr, ytr, np.ones(3), params=TreeParams(max_depth=3)).to_dict()
+        tree = obj["tree"]
+        assert tree["feature"][0] >= 0
+        if case == "self_loop":  # predict would walk the root forever
+            tree["left"][0] = 0
+        elif case == "past_the_end":  # predict would fail with an IndexError
+            tree["right"][0] = len(tree["right"])
+        else:
+            tree["threshold"].pop()
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="one length" if case == "short_threshold" else "child links"):
+            load_model(p)
+
     def test_unknown_family_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"family": "svm"}', encoding="utf-8")
