@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from array import array
 from dataclasses import dataclass, field
 
@@ -323,16 +322,13 @@ def preprocess(raw: RawDataset) -> Dataset:
     )
 
 
-def _largest_remainder(total: int, fractions) -> list:
-    """Integer allocation of ``total`` by fractions, remainders to the
-    largest fractional parts (ties broken by position)."""
-    quotas = [total * f for f in fractions]
-    base = [math.floor(q) for q in quotas]
-    short = total - sum(base)
-    order = sorted(range(len(fractions)), key=lambda j: (-(quotas[j] - base[j]), j))
-    for j in order[:short]:
-        base[j] += 1
-    return base
+def _largest_remainder(total: int, shares) -> np.ndarray:
+    """Integer parts of ``total`` by ``shares`` (not normalised): each part's
+    floor, plus one for each of the largest remainders, ties to the lowest index."""
+    quotas = total * np.asarray(shares, dtype=np.float64)
+    parts = np.floor(quotas).astype(np.int64)
+    parts[np.argsort(parts - quotas, kind="stable")[:total - parts.sum()]] += 1
+    return parts
 
 
 # the train/val/test shares of every split unless one is given

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _largest_remainder
 
 __all__ = ["SynthConfig", "power_law_counts", "counts_for_ratio", "synth_generate"]
 
@@ -68,12 +68,7 @@ def power_law_counts(n_samples: int, n_classes: int, exponent: float) -> np.ndar
     k = np.arange(1, n_classes + 1, dtype=np.float64)
     p = k ** (-float(exponent))
     p /= p.sum()
-    quotas = n_samples * p
-    counts = np.floor(quotas).astype(np.int64)
-    short = n_samples - counts.sum()
-    order = np.lexsort((k, -(quotas - counts)))  # largest remainder, then lowest class
-    for j in order[:short]:
-        counts[j] += 1
+    counts = _largest_remainder(n_samples, p)
     # enforce the >= 1 floor by moving mass from the largest classes
     for j in range(n_classes - 1, -1, -1):
         if counts[j] < 1:
@@ -90,19 +85,14 @@ def counts_for_ratio(n_samples: int, n_classes: int, ratio: float) -> np.ndarray
     """Geometric class-size profile hitting a target max/min imbalance ratio.
 
     Sizes interpolate geometrically between the largest and smallest class
-    and are rounded to sum to ``n_samples``; the endpoints are re-pinned
-    after rounding so max(counts)/min(counts) matches ``ratio`` closely.
+    and are rounded to sum to ``n_samples`` by the largest-remainder rule of
+    ``power_law_counts``, so max(counts)/min(counts) is ``ratio`` up to that
+    rounding.
     """
     if ratio < 1.0:
         raise ValueError("ratio must be >= 1")
     profile = np.geomspace(float(ratio), 1.0, n_classes)
-    p = profile / profile.sum()
-    quotas = n_samples * p
-    counts = np.floor(quotas).astype(np.int64)
-    short = n_samples - counts.sum()
-    order = np.argsort(-(quotas - counts), kind="stable")
-    for j in order[:short]:
-        counts[j] += 1
+    counts = _largest_remainder(n_samples, profile / profile.sum())
     if counts.min() < 1:
         raise ValueError("n_samples too small for this ratio and class count")
     return counts

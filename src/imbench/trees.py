@@ -148,6 +148,9 @@ class Tree:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Leaf id of every row, walking all rows down one level per step."""
+        top = self.feature.max()
+        if x.shape[1] <= top:
+            raise ValueError("the data has %d features but the tree splits on feature %d" % (x.shape[1], top))
         leaf = np.full(x.shape[0], self.node, dtype=np.intp)
         rows = np.arange(x.shape[0])
         while rows.size:
@@ -172,7 +175,8 @@ class Tree:
         }
 
     @staticmethod
-    def from_dict(obj: dict) -> "Tree":
+    def from_dict(obj: dict, width: int) -> "Tree":
+        """The tree of ``to_dict``; its ``value`` rows must hold ``width`` scores each."""
         if not isinstance(obj.get("feature"), list):
             raise ValueError("tree uses the nested node layout ({feature, threshold, left, right} / {scores} "
                              "objects), which this version no longer reads; refit and save the model again")
@@ -181,6 +185,9 @@ class Tree:
         arrays = (tree.threshold, tree.children_left, tree.children_right, tree.value)
         if n == 0 or tree.feature.ndim != 1 or any(a.ndim == 0 or len(a) != n for a in arrays):
             raise ValueError("tree node arrays must be non-empty and all of one length")
+        if tree.value.shape != (n, width):
+            raise ValueError("tree value rows must hold %d scores each, got an array of shape %s"
+                             % (width, tree.value.shape))
         # a child before its node could make apply loop forever, one past the end fail there
         inner = np.flatnonzero(tree.feature >= 0)
         for child in (tree.children_left[inner], tree.children_right[inner]):
@@ -468,7 +475,8 @@ class DecisionTreeModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "DecisionTreeModel":
-        return DecisionTreeModel(Tree.from_dict(obj["tree"]), TreeParams(**obj["params"]), int(obj["n_classes"]))
+        n_classes = int(obj["n_classes"])
+        return DecisionTreeModel(Tree.from_dict(obj["tree"], n_classes), TreeParams(**obj["params"]), n_classes)
 
 
 def dt_fit(x, y, weights, params: TreeParams | None = None, n_classes: int | None = None, seed: int = 0) -> DecisionTreeModel:
@@ -521,8 +529,9 @@ class RandomForestModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "RandomForestModel":
+        n_classes = int(obj["n_classes"])
         return RandomForestModel(
-            [Tree.from_dict(t) for t in obj["trees"]], ForestParams(**obj["params"]), int(obj["n_classes"])
+            [Tree.from_dict(t, n_classes) for t in obj["trees"]], ForestParams(**obj["params"]), n_classes
         )
 
 
@@ -595,11 +604,16 @@ class GradientBoostedModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "GradientBoostedModel":
+        n_classes = int(obj["n_classes"])
+        log_priors = np.asarray(obj["log_priors"], dtype=np.float64)
+        if log_priors.shape != (n_classes,) or any(len(class_trees) != n_classes for class_trees in obj["rounds"]):
+            raise ValueError("a gbt model needs %d log priors and %d trees (or nulls) in every round"
+                             % (n_classes, n_classes))
         return GradientBoostedModel(
-            rounds=[[None if t is None else Tree.from_dict(t) for t in class_trees] for class_trees in obj["rounds"]],
-            log_priors=np.asarray(obj["log_priors"], dtype=np.float64),
+            rounds=[[None if t is None else Tree.from_dict(t, 1) for t in class_trees] for class_trees in obj["rounds"]],
+            log_priors=log_priors,
             params=GbtParams(**obj["params"]),
-            n_classes=int(obj["n_classes"]),
+            n_classes=n_classes,
         )
 
 

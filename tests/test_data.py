@@ -23,7 +23,7 @@ from imbench import (
     schema_for,
     stratified_split,
 )
-from imbench.data import MISSING_TOKENS
+from imbench.data import MISSING_TOKENS, _largest_remainder
 
 
 def write_csv(path, text):
@@ -343,6 +343,27 @@ class TestStratifiedSplit:
         for k, n_k in enumerate(counts):
             for part, f in zip(parts, fractions):
                 assert abs(np.sum(data.labels[part] == k) - n_k * f) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.one_of(st.integers(0, 12), st.floats(0.0, 100.0)), min_size=1, max_size=8)
+        .filter(lambda w: sum(w) > 0),
+    )
+    def test_largest_remainder_gives_the_extra_units_to_the_largest_remainders(self, total, weights):
+        shares = [w / sum(weights) for w in weights]  # integer weights tie often
+        quotas = total * np.asarray(shares)
+        floors = np.floor(quotas)
+        parts = _largest_remainder(total, shares)
+        assert parts.dtype == np.int64 and parts.sum() == total
+        extra = parts - floors
+        assert set(extra.tolist()) <= {0.0, 1.0}
+        remainders = quotas - floors
+        for i in np.flatnonzero(extra == 1):
+            for j in np.flatnonzero(extra == 0):
+                assert remainders[i] >= remainders[j]
+                if remainders[i] == remainders[j]:
+                    assert i < j
 
 
 class TestFilterMinClassCount:

@@ -290,6 +290,39 @@ class TestSerialization:
         with pytest.raises(ValueError, match="one length" if case == "short_threshold" else "child links"):
             load_model(p)
 
+    @pytest.mark.parametrize("family, case", [
+        ("dt", "value_width"), ("rf", "value_width"), ("gbt", "value_width"), ("gbt", "log_priors"), ("gbt", "round"),
+    ])
+    def test_arrays_that_do_not_fit_the_model_rejected(self, tmp_path, family, case):
+        _, models = self.fit_all()
+        obj = next(m for m in models if m.family == family).to_dict()
+        tree = {"dt": lambda: obj["tree"], "rf": lambda: obj["trees"][0], "gbt": lambda: obj["rounds"][0][0]}[family]()
+        if case == "value_width":  # dt/rf rows of 2 of the 3 classes, gbt margins of width 2
+            tree["value"] = [row[:2] if family != "gbt" else row + [0.0] for row in tree["value"]]
+        elif case == "log_priors":
+            obj["log_priors"].pop()
+        else:
+            obj["rounds"][0].pop()
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="value rows" if case == "value_width" else "log priors and 3 trees"):
+            load_model(p)
+
+    def test_data_narrower_than_the_tree_rejected(self, tmp_path):
+        xte, models = self.fit_all()
+        for model in models:
+            trees_of = {"dt": lambda: [model.root], "rf": lambda: model.trees,
+                        "gbt": lambda: [t for r in model.rounds for t in r if t is not None]}[model.family]
+            top = max(int(t.feature.max()) for t in trees_of())
+            with pytest.raises(ValueError, match="has %d features but the tree splits on feature %d" % (top, top)):
+                model.predict_proba(xte[:, :top])
+        obj = models[0].to_dict()
+        obj["tree"]["feature"][0] = 9
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="has 5 features but the tree splits on feature 9"):
+            load_model(p).predict_proba(xte)
+
     def test_unknown_family_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text('{"family": "svm"}', encoding="utf-8")
