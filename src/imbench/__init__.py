@@ -29,10 +29,10 @@ from .harness import (
     block_matrix,
     classifier_id,
     default_threshold_ladder,
+    fit_block,
     load_dataset,
     load_experiment_config,
     read_results,
-    run_block,
     run_sweep,
     summarize,
     write_degradation,

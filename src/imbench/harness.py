@@ -6,6 +6,9 @@ A *block* is one (target, filter-threshold) slice of a dataset; a
 filters rare classes, splits stratified (60/20/20 by default), computes
 class weights on the training split only, fits with the fit wall-clock
 timed, and evaluates accuracy plus macro and weighted F1 on the test split.
+A sweep prepares each (threshold, seed) slice once, as a plain value, and
+runs every block of the slice on it (``run_block``); ``fit_block`` runs one
+block from the data.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import trees
 from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
                    preprocess, stratified_split)
 from .evaluation import accuracy, confusion_matrix, f1_scores
@@ -197,56 +199,36 @@ class BlockResult:
     n_train: int = 0
 
 
-# the slice prepared last, kept only while _run_slice runs:
-# [data, (filter_threshold, seed, fractions), _slice's result]
-_slice_memo = None
 # a sweep worker's dataset, set once by the pool initializer
 _worker_data = None
 
 
 def _slice(data: Dataset, filter_threshold: int, seed: int, fractions) -> tuple:
-    """The work a block shares with every block of its (threshold, seed)
-    slice: ``(train class distribution, its imbalance report, train, val,
-    test)``, or the reason the slice is skipped as a string.
-
-    Inside ``_run_slice`` the slice is kept, so its blocks filter and split
-    once.  A ``Dataset`` is immutable, so the same object gives the same
-    slice.
-    """
-    key = (filter_threshold, seed, tuple(fractions))
-    memo = _slice_memo
-    if memo is not None and memo[0] is data and memo[1] == key:
-        return memo[2]
+    """The work every block of a (threshold, seed) slice shares:
+    ``(train class distribution, its imbalance report, train, val, test)``,
+    or the reason the slice is skipped as a string."""
     try:
         filtered = filter_min_class_count(data, filter_threshold)
         split = stratified_split(filtered, fractions=fractions, seed=seed)
     except ValueError as exc:
-        prepared = str(exc)
-    else:
-        train = filtered.subset(split.train)
-        dist = class_frequencies(train.labels)
-        if dist.n_classes != filtered.n_classes:
-            prepared = "a class is missing from the training split"
-        else:
-            prepared = dist, imbalance_report(dist), train, filtered.subset(split.val), filtered.subset(split.test)
-    if memo is not None:
-        memo[:] = [data, key, prepared]
-    return prepared
+        return str(exc)
+    train = filtered.subset(split.train)
+    dist = class_frequencies(train.labels)
+    if dist.n_classes != filtered.n_classes:
+        return "a class is missing from the training split"
+    return dist, imbalance_report(dist), train, filtered.subset(split.val), filtered.subset(split.test)
 
 
-def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
-              fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
-    """One benchmark run: ``(BlockResult, model)``, the model the result
-    scored, or None unless the status is "ok".  Degenerate filtering or split
-    preconditions turn into a skipped result, and an exception from the
-    model's fit or predict into a failed one (reason ``"<ExcType>:
-    <message>"``), rather than an exception.  Each call filters and splits
-    ``data`` itself, and a tree fit sorts its own table; only the blocks of
-    a sweep slice (``_run_slice``) share one filter, split and presort."""
+def run_block(prepared, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
+              beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
+    """One benchmark run on a slice ``_slice`` prepared: ``(BlockResult,
+    model)``, the model the result scored, or None unless the status is
+    "ok".  A skipped slice gives a skipped result, and an exception from the
+    model's fit or predict a failed one (reason ``"<ExcType>: <message>"``),
+    rather than an exception."""
     cid = classifier_id(family, strategy)
     spec = get_family(family)
     merged = {**spec.default_params, **(params or {})}
-    prepared = _slice(data, filter_threshold, seed, fractions)
     if isinstance(prepared, str):
         return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=prepared), None
     dist, report, train, val, test = prepared
@@ -283,9 +265,15 @@ def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, 
     ), model
 
 
-def run_block(*args, **kwargs) -> BlockResult:
-    """``fit_block``'s result without the model: the row a sweep records."""
-    return fit_block(*args, **kwargs)[0]
+def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
+              fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
+    """One benchmark run from ``data``: ``run_block``'s ``(BlockResult,
+    model)`` on a slice this call filters and splits for itself, where a
+    sweep prepares each slice once for all its blocks.  A tree fit presorts
+    the slice's training table, and the presort goes with the table when the
+    call returns."""
+    return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, filter_threshold, seed,
+                     target, beta, params)
 
 
 @dataclass(frozen=True)
@@ -344,16 +332,13 @@ def _install_worker(specs, data: Dataset) -> None:
 
 
 def _run_slice(data: Dataset, threshold: int, seed: int, blocks, target: str, fractions, beta: float) -> list:
-    """The rows of one (threshold, seed) slice, one ``run_block`` per
-    (family, strategy, params) in ``blocks``; the slice is prepared once,
-    and its training table presorted once for every dt and gbt fit."""
-    global _slice_memo
-    _slice_memo, trees._presort_memo = [None, None, None], [None, None]
-    try:
-        return [run_block(data, family, strategy, threshold, seed, target, fractions, beta, params)
-                for family, strategy, params in blocks]
-    finally:
-        _slice_memo = trees._presort_memo = None
+    """The rows of one (threshold, seed) slice: the slice is prepared once
+    and each (family, strategy, params) in ``blocks`` is one ``run_block`` on
+    it.  Its training table is read-only, so the dt and gbt fits share one
+    presort of it, which is freed with the slice when this returns."""
+    prepared = _slice(data, threshold, seed, fractions)
+    return [run_block(prepared, family, strategy, threshold, seed, target, beta, params)[0]
+            for family, strategy, params in blocks]
 
 
 def _run_slice_task(task) -> list:

@@ -12,9 +12,12 @@ lists stably.  A node that may split carries, per feature, its row ids and
 their values in sorted order (SPRINT's attribute lists), and a split
 partitions both with one ``np.compress`` over the flattened arrays; a child
 that cannot split carries only its row ids.  A subsampled gbt round cuts its
-lists from the table's (``_table_lists``, shared by the dt and gbt fits of a
-sweep slice) the same way.  One kernel scores a block of features per pass
-for the Gini/entropy and the Newton criterion.  Trees are flat node arrays.
+lists from the table's the same way.  ``_table_lists`` keeps the lists of a
+read-only table for as long as the table lives, so every fit on one sweep
+slice's training table shares them.  One kernel scores a block of features
+per pass for the Gini/entropy and the Newton criterion.  Trees are flat node
+arrays, and a model checks that the data it predicts on has as many columns
+as its fit's.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import time
 import warnings
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -292,8 +296,9 @@ def _draw_features(rng, d: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(d, size=k, replace=False)) if k < d else np.arange(d)
 
 
-def _presort(x: np.ndarray) -> np.ndarray:
-    """(d, n) row ids; row f lists the rows sorted stably by feature f.
+def _presort(x: np.ndarray) -> tuple:
+    """``(ordered, xs)``, both (d, n): row f of ``ordered`` lists the rows
+    sorted stably by feature f, and row f of ``xs`` their values in that order.
 
     numpy's default (SIMD) argsort is several times faster than the stable
     one on distinct values but orders equal values arbitrarily, while the
@@ -309,54 +314,47 @@ def _presort(x: np.ndarray) -> np.ndarray:
     n = xt.shape[1]
     fast = _increasing(np.sort(xt[:, :: max(1, n // 128)], axis=1))
     if not fast.any():
-        return np.argsort(xt, axis=1, kind="stable")
-    order = np.empty(xt.shape, dtype=np.intp)
-    order[~fast] = np.argsort(xt[~fast], axis=1, kind="stable")
-    quick = np.argsort(xt[fast], axis=1)
-    ranked = np.take_along_axis(xt[fast], quick, axis=1)
-    tied = ~_increasing(ranked)
-    hi, lo, ids = ranked[tied, 1:], ranked[tied, :-1], quick[tied]
-    run = np.zeros(ids.shape, dtype=np.intp)  # NaN equals NaN here, as it does to a stable sort
-    np.cumsum((hi != lo) & ~(np.isnan(hi) & np.isnan(lo)), axis=1, out=run[:, 1:])
-    quick[tied] = np.take_along_axis(ids, np.argsort(run * n + ids, axis=1, kind="stable"), axis=1)
-    order[fast] = quick
-    return order
+        order = np.argsort(xt, axis=1, kind="stable")
+    else:
+        order = np.empty(xt.shape, dtype=np.intp)
+        order[~fast] = np.argsort(xt[~fast], axis=1, kind="stable")
+        quick = np.argsort(xt[fast], axis=1)
+        ranked = np.take_along_axis(xt[fast], quick, axis=1)
+        tied = ~_increasing(ranked)
+        hi, lo, ids = ranked[tied, 1:], ranked[tied, :-1], quick[tied]
+        run = np.zeros(ids.shape, dtype=np.intp)  # NaN equals NaN here, as it does to a stable sort
+        np.cumsum((hi != lo) & ~(np.isnan(hi) & np.isnan(lo)), axis=1, out=run[:, 1:])
+        quick[tied] = np.take_along_axis(ids, np.argsort(run * n + ids, axis=1, kind="stable"), axis=1)
+        order[fast] = quick
+    return order, np.take_along_axis(xt, order, axis=1)
 
 
-# [x, (ordered, xs)] of the read-only table sorted last; kept only while
-# harness._run_slice runs, so the dt and gbt fits of one sweep slice sort its
-# training table once
-_presort_memo = None
+# id(x) -> _presort(x) of each live read-only table that owns its data
+_kept_lists = {}
 
 
 def _table_lists(x: np.ndarray) -> tuple:
-    """``(_presort(x), its sorted values)``, kept for the next fit of the same
-    ``x`` inside a sweep slice.  Only a read-only array that owns its data is
-    kept, keyed on its identity: nothing can change it in place.  Any other
-    array (rf's bootstraps, a writable table) is sorted afresh every time."""
-    memo = _presort_memo
-    keep = memo is not None and not x.flags.writeable and x.flags.owndata
-    if keep and memo[0] is x:
-        return memo[1]
-    ordered = _presort(x)
-    lists = ordered, _sorted_values(x, ordered)
-    if keep:
-        for a in lists:
-            a.setflags(write=False)
-        memo[:] = [x, lists]
+    """``_presort(x)``, kept for every later fit of the same ``x`` while
+    ``x`` lives.  Only a read-only array that owns its data is kept, keyed
+    on its identity: nothing can change it in place.  Its entry goes when
+    ``x`` is freed, so the lists live exactly as long as their table.  Any
+    other array (rf's bootstraps, a writable table, a view) is sorted afresh
+    every time."""
+    keep = not x.flags.writeable and x.flags.owndata
+    lists = _kept_lists.get(id(x)) if keep else None
+    if lists is None:
+        lists = _presort(x)
+        if keep:
+            for a in lists:
+                a.setflags(write=False)
+            _kept_lists[id(x)] = lists
+            weakref.finalize(x, _kept_lists.pop, id(x), None)
     return lists
 
 
 def _increasing(v: np.ndarray) -> np.ndarray:
     """Per row of ``v``: are its values strictly increasing (no tie, no NaN)?"""
     return np.all(v[:, 1:] > v[:, :-1], axis=1)
-
-
-def _sorted_values(x: np.ndarray, ordered: np.ndarray) -> np.ndarray:
-    """(d, n) values; row f is ``x[ordered[f], f]``, feature f in its presorted
-    order (one flat take from the transposed table)."""
-    xt = np.ascontiguousarray(x.T)
-    return np.take(xt, ordered + (np.arange(xt.shape[0]) * xt.shape[1])[:, None])
 
 
 def _partition(keep: np.ndarray, ordered: np.ndarray, xs: np.ndarray) -> tuple:
@@ -448,9 +446,37 @@ def _class_tree(x, y, wv, n_classes, params: TreeParams, pick_features) -> Tree:
                  params.min_samples_split, params.min_samples_leaf)[0]
 
 
+def _fit_inputs(x, y, weights, n_classes: int | None) -> tuple:
+    """What every tree fit starts from: ``(x, y, n_classes, class weight
+    vector, start of the fit's clock)``, with ``n_classes`` inferred from
+    ``y`` when None."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
+    return x, y, n_classes, _weight_vector(weights, n_classes), time.perf_counter()
+
+
 def _model_dict(model, **trees) -> dict:
     """JSON form of a tree model: the shared header plus its trees."""
-    return {"family": model.family, "n_classes": model.n_classes, "params": asdict(model.params), **trees}
+    return {"family": model.family, "n_classes": model.n_classes, "n_features": model.n_features,
+            "params": asdict(model.params), **trees}
+
+
+def _model_header(obj: dict) -> tuple:
+    """``(n_classes, n_features)`` of a tree model's JSON form."""
+    if "n_features" not in obj:
+        raise ValueError("the model file stores no n_features, which this version needs; "
+                         "refit and save the model again")
+    return int(obj["n_classes"]), int(obj["n_features"])
+
+
+def _checked_table(x, n_features: int) -> np.ndarray:
+    """``x`` as float64, or a ValueError unless it has the fit's ``n_features`` columns."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ValueError("the model was fitted on %d features, got data of shape %s" % (n_features, x.shape))
+    return x
 
 
 class DecisionTreeModel:
@@ -458,14 +484,15 @@ class DecisionTreeModel:
 
     family = "dt"
 
-    def __init__(self, root: Tree, params: TreeParams, n_classes: int, train_seconds: float = 0.0):
+    def __init__(self, root: Tree, params: TreeParams, n_classes: int, n_features: int, train_seconds: float = 0.0):
         self.root = root
         self.params = params
         self.n_classes = n_classes
+        self.n_features = n_features
         self.train_seconds = train_seconds
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.root.predict(np.asarray(x, dtype=np.float64))
+        return self.root.predict(_checked_table(x, self.n_features))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.predict_proba(x).argmax(axis=1)
@@ -475,8 +502,9 @@ class DecisionTreeModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "DecisionTreeModel":
-        n_classes = int(obj["n_classes"])
-        return DecisionTreeModel(Tree.from_dict(obj["tree"], n_classes), TreeParams(**obj["params"]), n_classes)
+        n_classes, n_features = _model_header(obj)
+        return DecisionTreeModel(Tree.from_dict(obj["tree"], n_classes), TreeParams(**obj["params"]), n_classes,
+                                 n_features)
 
 
 def dt_fit(x, y, weights, params: TreeParams | None = None, n_classes: int | None = None, seed: int = 0) -> DecisionTreeModel:
@@ -484,15 +512,10 @@ def dt_fit(x, y, weights, params: TreeParams | None = None, n_classes: int | Non
     symmetry; a plain tree consumes no randomness."""
     del seed
     params = params or TreeParams()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    wv = _weight_vector(weights, n_classes)
-    t0 = time.perf_counter()
+    x, y, n_classes, wv, t0 = _fit_inputs(x, y, weights, n_classes)
     feats = np.arange(x.shape[1])
     root = _class_tree(x, y, wv, n_classes, params, lambda: feats)
-    return DecisionTreeModel(root, params, n_classes, train_seconds=time.perf_counter() - t0)
+    return DecisionTreeModel(root, params, n_classes, x.shape[1], train_seconds=time.perf_counter() - t0)
 
 
 def _resolve_max_features(spec, d: int) -> int:
@@ -508,14 +531,16 @@ class RandomForestModel:
 
     family = "rf"
 
-    def __init__(self, trees: list, params: ForestParams, n_classes: int, train_seconds: float = 0.0):
+    def __init__(self, trees: list, params: ForestParams, n_classes: int, n_features: int,
+                 train_seconds: float = 0.0):
         self.trees = trees
         self.params = params
         self.n_classes = n_classes
+        self.n_features = n_features
         self.train_seconds = train_seconds
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _checked_table(x, self.n_features)
         acc = np.zeros((x.shape[0], self.n_classes))
         for tree in self.trees:
             acc += tree.predict(x)
@@ -529,10 +554,9 @@ class RandomForestModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "RandomForestModel":
-        n_classes = int(obj["n_classes"])
-        return RandomForestModel(
-            [Tree.from_dict(t, n_classes) for t in obj["trees"]], ForestParams(**obj["params"]), n_classes
-        )
+        n_classes, n_features = _model_header(obj)
+        return RandomForestModel([Tree.from_dict(t, n_classes) for t in obj["trees"]],
+                                 ForestParams(**obj["params"]), n_classes, n_features)
 
 
 def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | None = None, seed: int = 0) -> RandomForestModel:
@@ -540,12 +564,7 @@ def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | N
     (seed, tree index) so refits replay exactly; each tree draws its split
     features node by node, depth first, left before right."""
     params = params or ForestParams()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    wv = _weight_vector(weights, n_classes)
-    t0 = time.perf_counter()
+    x, y, n_classes, wv, t0 = _fit_inputs(x, y, weights, n_classes)
     n, d = x.shape
     n_sub = _resolve_max_features(params.max_features, d)
     tree_params = TreeParams(
@@ -558,7 +577,7 @@ def rf_fit(x, y, weights, params: ForestParams | None = None, n_classes: int | N
         rows = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
         pick_features = functools.partial(_draw_features, rng, d, n_sub)
         trees.append(_class_tree(x[rows], y[rows], wv, n_classes, tree_params, pick_features))
-    return RandomForestModel(trees, params, n_classes, train_seconds=time.perf_counter() - t0)
+    return RandomForestModel(trees, params, n_classes, d, train_seconds=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,16 +590,17 @@ class GradientBoostedModel:
 
     family = "gbt"
 
-    def __init__(self, rounds: list, log_priors: np.ndarray, params: GbtParams, n_classes: int,
+    def __init__(self, rounds: list, log_priors: np.ndarray, params: GbtParams, n_classes: int, n_features: int,
                  train_seconds: float = 0.0):
         self.rounds = rounds  # list of per-class tree lists (None = skipped tree)
         self.log_priors = np.asarray(log_priors, dtype=np.float64)
         self.params = params
         self.n_classes = n_classes
+        self.n_features = n_features
         self.train_seconds = train_seconds
 
     def decision_function(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _checked_table(x, self.n_features)
         margins = np.tile(self.log_priors, (x.shape[0], 1))
         lr = self.params.learning_rate
         for class_trees in self.rounds:
@@ -604,7 +624,7 @@ class GradientBoostedModel:
 
     @staticmethod
     def from_dict(obj: dict) -> "GradientBoostedModel":
-        n_classes = int(obj["n_classes"])
+        n_classes, n_features = _model_header(obj)
         log_priors = np.asarray(obj["log_priors"], dtype=np.float64)
         if log_priors.shape != (n_classes,) or any(len(class_trees) != n_classes for class_trees in obj["rounds"]):
             raise ValueError("a gbt model needs %d log priors and %d trees (or nulls) in every round"
@@ -614,6 +634,7 @@ class GradientBoostedModel:
             log_priors=log_priors,
             params=GbtParams(**obj["params"]),
             n_classes=n_classes,
+            n_features=n_features,
         )
 
 
@@ -628,12 +649,7 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
     outside the round down each tree.
     """
     params = params or GbtParams()
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
-    wv = _weight_vector(weights, n_classes)
-    t0 = time.perf_counter()
+    x, y, n_classes, wv, t0 = _fit_inputs(x, y, weights, n_classes)
     n, d = x.shape
     counts = np.bincount(y, minlength=n_classes)
     if np.any(counts == 0):
@@ -678,7 +694,7 @@ def gbt_fit(x, y, weights, params: GbtParams | None = None, n_classes: int | Non
                 RuntimeWarning,
             )
         rounds.append(class_trees)
-    return GradientBoostedModel(rounds, log_priors, params, n_classes, train_seconds=time.perf_counter() - t0)
+    return GradientBoostedModel(rounds, log_priors, params, n_classes, d, train_seconds=time.perf_counter() - t0)
 
 
 def save_model(model, path) -> None:

@@ -29,6 +29,7 @@ from imbench import (
     compute_weights,
     default_threshold_ladder,
     filter_min_class_count,
+    fit_block,
     get_family,
     imbalance_report,
     load_experiment_config,
@@ -36,7 +37,6 @@ from imbench import (
     read_results,
     register_family,
     registered_families,
-    run_block,
     run_sweep,
     save_csv,
     schema_for,
@@ -357,7 +357,7 @@ class TestRunBlock:
         return make_blobs(500, 3, 4, 2.5, seed=1, counts=[300, 150, 50])
 
     def test_ok_block_fields(self):
-        r = run_block(self.data(), "dt", "none", 1, seed=0, params={"max_depth": 4})
+        r = fit_block(self.data(), "dt", "none", 1, seed=0, params={"max_depth": 4})[0]
         assert r.status == "ok" and r.reason == ""
         assert r.classifier == "dt+none"
         assert 0.0 <= r.accuracy <= 1.0
@@ -366,15 +366,15 @@ class TestRunBlock:
         assert r.n_train == 300  # 60% of 500
 
     def test_replay_is_bitwise_identical(self):
-        a = run_block(self.data(), "gbt", "inverse", 1, seed=5,
-                      params={"n_estimators": 5, "learning_rate": 0.3})
-        b = run_block(self.data(), "gbt", "inverse", 1, seed=5,
-                      params={"n_estimators": 5, "learning_rate": 0.3})
+        a = fit_block(self.data(), "gbt", "inverse", 1, seed=5,
+                      params={"n_estimators": 5, "learning_rate": 0.3})[0]
+        b = fit_block(self.data(), "gbt", "inverse", 1, seed=5,
+                      params={"n_estimators": 5, "learning_rate": 0.3})[0]
         assert rows_match(a, b)
 
     def test_imbalance_columns_describe_the_training_split(self):
         data = self.data()
-        r = run_block(data, "dt", "none", 100, seed=2, params={"max_depth": 3})
+        r = fit_block(data, "dt", "none", 100, seed=2, params={"max_depth": 3})[0]
         filtered = filter_min_class_count(data, 100)
         split = stratified_split(filtered, fractions=(0.6, 0.2, 0.2), seed=2)
         report = imbalance_report(class_frequencies(filtered.labels[split.train]))
@@ -384,19 +384,19 @@ class TestRunBlock:
         assert r.n_train == split.train.size
 
     def test_degenerate_threshold_is_skipped_not_raised(self):
-        r = run_block(self.data(), "dt", "none", 400, seed=0)
+        r = fit_block(self.data(), "dt", "none", 400, seed=0)[0]
         assert r.status == "skipped"
         assert "degenerate" in r.reason
         assert math.isnan(r.accuracy)
 
     def test_unknown_family_raises(self):
         with pytest.raises(ValueError, match="unknown model family"):
-            run_block(self.data(), "nope", "none", 1, seed=0)
+            fit_block(self.data(), "nope", "none", 1, seed=0)
 
     def test_custom_family_is_runnable(self):
         register_family("majority", majority_fit, {})
         try:
-            r = run_block(self.data(), "majority", "none", 1, seed=0)
+            r = fit_block(self.data(), "majority", "none", 1, seed=0)[0]
         finally:
             unregister_family("majority")
         assert r.status == "ok"
@@ -407,7 +407,7 @@ class TestRunBlock:
     def test_raising_fit_becomes_a_failed_row(self):
         register_family("flaky", flaky_fit, {})
         try:
-            r = run_block(self.data(), "flaky", "inverse", 1, seed=1)
+            r = fit_block(self.data(), "flaky", "inverse", 1, seed=1)[0]
         finally:
             unregister_family("flaky")
         assert (r.classifier, r.filter_threshold, r.seed) == ("flaky+inverse", 1, 1)
@@ -418,7 +418,7 @@ class TestRunBlock:
     def test_raising_predict_becomes_a_failed_row(self):
         register_family("broken", broken_predict_fit, {})
         try:
-            r = run_block(self.data(), "broken", "none", 1, seed=0)
+            r = fit_block(self.data(), "broken", "none", 1, seed=0)[0]
         finally:
             unregister_family("broken")
         assert r.status == "failed"
@@ -542,7 +542,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "filter_min_class_count", counted("filter", filter_min_class_count))
         monkeypatch.setattr(harness, "stratified_split", counted("split", stratified_split))
-        monkeypatch.setattr(harness, "run_block", counted("block", run_block))
+        monkeypatch.setattr(harness, "run_block", counted("block", harness.run_block))
         config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
                               filter_thresholds=(1, 60, 200), n_runs=3)
         register_family("majority", majority_fit, {})
@@ -561,56 +561,47 @@ class TestRunSweep:
         finally:
             unregister_family("majority")
         assert calls["split"] == 2 * 3 + 2 * 2 * 2 * 3
-        assert harness._slice_memo is None  # a direct fit_block call keeps no slice
         assert len(results) == len(independent) == 36
         assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
         assert sum(r.status == "skipped" for r in results) == 12
 
     def test_each_slice_training_table_is_presorted_once(self, monkeypatch):
         """In a sweep the dt and gbt blocks of a slice share one presort of
-        its training table and one set of its sorted values, rf still sorts
-        each bootstrap, the rows are those of independent fit_block calls,
-        and no presort outlives the slice."""
-        presorted, valued = [], []
+        its read-only training table, rf still sorts each bootstrap, the rows
+        are those of independent fit_block calls, and no presort outlives
+        its slice.  The spy records what it saw, not the tables: holding a
+        table would keep its lists alive."""
+        presorted = []  # (read-only, table bytes) per presort
 
         def counted(x):
-            presorted.append(x)
+            presorted.append((not x.flags.writeable, x.tobytes()))
             return presort(x)
 
-        def counted_values(x, ordered):
-            valued.append(x)
-            return sorted_values(x, ordered)
-
-        presort, sorted_values = trees._presort, trees._sorted_values
+        presort = trees._presort
         monkeypatch.setattr(trees, "_presort", counted)
-        monkeypatch.setattr(trees, "_sorted_values", counted_values)
         config = small_config(families=("dt", "rf", "gbt"), strategies=("none", "inverse"),
                               filter_thresholds=(1, 60, 200), n_runs=2,
                               model_params={"dt": {"max_depth": 3}, "rf": {"n_estimators": 2, "max_depth": 3},
                                             "gbt": {"n_estimators": 1, "max_depth": 2}})
         data = harness.load_dataset(config)
+        kept_before = set(trees._kept_lists)
         results, _ = run_sweep(config, data)
-        assert trees._presort_memo is None
-        tables = [x for x in presorted if not x.flags.writeable]
-        bootstraps = [x for x in presorted if x.flags.writeable]
+        assert set(trees._kept_lists) == kept_before  # every slice's lists went with its table
+        tables = [b for read_only, b in presorted if read_only]
         slices = [harness._slice(data, t, s, config.fractions) for t in (1, 60) for s in (0, 1)]  # 200 is skipped
-        assert len({id(x) for x in tables}) == len(tables) == len(slices)
-        assert sorted(x.tobytes() for x in tables) == sorted(p[2].features.tobytes() for p in slices)
-        assert len(bootstraps) == len(slices) * 2 * 2  # strategies x trees
-        assert len(valued) == len(tables) + len(bootstraps)  # one per slice table, one per bootstrap
-        assert all(v is p for v, p in zip(valued, presorted))
+        assert sorted(tables) == sorted(p[2].features.tobytes() for p in slices)  # one presort per slice
+        assert len(presorted) - len(tables) == len(slices) * 2 * 2  # rf bootstraps: strategies x trees
 
         presorted.clear()
-        valued.clear()
         independent = {
             (r.classifier, r.filter_threshold, r.seed): r
             for family in config.families for strategy in config.strategies
             for threshold in config.filter_thresholds for seed in range(2)
-            for r in [harness.run_block(data, family, strategy, threshold, seed,
-                                        params=config.model_params[family])]
+            for r in [harness.fit_block(data, family, strategy, threshold, seed,
+                                        params=config.model_params[family])[0]]
         }
-        assert trees._presort_memo is None  # a direct fit_block call keeps no presort
-        assert len(presorted) == len(valued) == len(slices) * 2 * (1 + 2 + 1)  # every fit sorts for itself
+        assert set(trees._kept_lists) == kept_before  # a direct fit_block call keeps no presort
+        assert len(presorted) == len(slices) * 2 * (1 + 2 + 1)  # every fit sorts for itself
         assert len(results) == len(independent) == 36
         assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
         assert sum(r.status == "ok" for r in results) == 24
@@ -904,7 +895,7 @@ class TestWeightingIntegration:
         data = make_blobs(600, 2, 4, 1.2, seed=3, counts=[560, 40])
         per_class = {}
         for strategy in ("none", "inverse"):
-            r = run_block(data, "dt", strategy, 1, seed=0, params={"max_depth": 6})
+            r = fit_block(data, "dt", strategy, 1, seed=0, params={"max_depth": 6})[0]
             per_class[strategy] = r.macro_f1
         # not asserting a direction for every dataset/seed, only that the
         # strategy is actually plumbed through to the loss

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import warnings
+import weakref
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -195,6 +196,7 @@ class TestGradientBoosting:
                     log_priors=model.log_priors,
                     params=model.params,
                     n_classes=model.n_classes,
+                    n_features=model.n_features,
                 )
                 losses.append(weighted_cce(ytr, stage.predict_proba(xtr), w3)[0])
             assert np.all(np.diff(losses) <= 1e-9)
@@ -269,7 +271,8 @@ class TestSerialization:
     def test_nested_tree_layout_rejected(self, tmp_path):
         p = tmp_path / "nested.json"
         tree = {"feature": 0, "threshold": 0.5, "left": {"scores": [1.0, 0.0]}, "right": {"scores": [0.0, 1.0]}}
-        p.write_text(json.dumps({"family": "dt", "n_classes": 2, "params": {}, "tree": tree}), encoding="utf-8")
+        obj = {"family": "dt", "n_classes": 2, "n_features": 1, "params": {}, "tree": tree}
+        p.write_text(json.dumps(obj), encoding="utf-8")
         with pytest.raises(ValueError, match="nested node layout"):
             load_model(p)
 
@@ -324,6 +327,35 @@ class TestSerialization:
         model = load_model(p)
         with pytest.raises(ValueError, match="the data has 5 features but the tree splits on feature 9"):
             model.predict_proba(xte)
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_data_of_another_width_rejected(self, tmp_path, family):
+        """A model keeps its fit's feature count, in memory and in its file:
+        wider data (even the fit's columns among others) and narrower data
+        raise a ValueError naming both widths."""
+        xte, models = self.fit_all()
+        model = next(m for m in models if m.family == family)
+        p = tmp_path / "model.json"
+        save_model(model, p)
+        loaded = load_model(p)
+        assert model.n_features == loaded.n_features == json.loads(p.read_text(encoding="utf-8"))["n_features"] == 5
+        methods = ["predict", "predict_proba"] + (["decision_function"] if family == "gbt" else [])
+        for m in (model, loaded):
+            for x in (np.hstack([xte[:, ::-1], xte]), xte[:, :4], xte[:, :1]):
+                message = r"fitted on 5 features, got data of shape \(%d, %d\)" % x.shape
+                for method in methods:
+                    with pytest.raises(ValueError, match=message):
+                        getattr(m, method)(x)
+            assert m.predict_proba(xte).shape == (len(xte), 3)
+
+    @pytest.mark.parametrize("family", ["dt", "rf", "gbt"])
+    def test_file_without_a_feature_count_rejected(self, tmp_path, family):
+        _, obj = self.saved_dict(family)
+        del obj["n_features"]
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match="stores no n_features"):
+            load_model(p)
 
     def test_unknown_family_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -431,8 +463,10 @@ def test_row_sum_adds_like_numpy_sum_of_a_row(width):
 
 
 class TestPresortMemo:
-    """Inside a sweep slice (``trees._presort_memo`` set) a read-only table
-    is presorted once; anything that could change in place never is kept."""
+    """A read-only table that owns its data is presorted once, and its lists
+    (``trees._kept_lists``) are kept exactly as long as the table lives;
+    anything that could change in place is never kept.  The spy records ids,
+    not tables: holding a table would keep its lists alive."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -440,12 +474,15 @@ class TestPresortMemo:
         presort = trees._presort
 
         def counted(x):
-            seen.append(x)
+            seen.append(id(x))
             return presort(x)
 
         monkeypatch.setattr(trees, "_presort", counted)
-        monkeypatch.setattr(trees, "_presort_memo", [None, None])
         return seen
+
+    @pytest.fixture
+    def kept_before(self):
+        return set(trees._kept_lists)  # tables other tests still hold
 
     @staticmethod
     def table(seed, writeable):
@@ -455,51 +492,57 @@ class TestPresortMemo:
         y = np.arange(60) % 3
         return x, y
 
-    def test_read_only_table_is_presorted_once_and_kept_read_only(self, calls):
+    def test_read_only_table_is_presorted_once_and_kept_read_only(self, calls, kept_before):
         x, y = self.table(0, writeable=False)
         fits = [dt_fit(x, y, np.ones(3), TreeParams(max_depth=3)),
                 gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2)),
                 dt_fit(x, y, np.ones(3), TreeParams(max_depth=3))]
-        assert len(calls) == 1 and calls[0] is x
-        kept, (order, values) = trees._presort_memo
-        assert kept is x and not order.flags.writeable and not values.flags.writeable
+        assert calls == [id(x)] and set(trees._kept_lists) - kept_before == {id(x)}
+        order, values = trees._kept_lists[id(x)]
+        assert not order.flags.writeable and not values.flags.writeable
         np.testing.assert_array_equal(order, np.argsort(x, axis=0, kind="stable").T)
         assert values.tobytes() == np.take_along_axis(x, order.T, axis=0).T.tobytes()
-        trees._presort_memo = None
-        fresh = [dt_fit(x, y, np.ones(3), TreeParams(max_depth=3)),
-                 gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2))]
+        copy = x.copy()  # writable, so sorted afresh by each fit
+        fresh = [dt_fit(copy, y, np.ones(3), TreeParams(max_depth=3)),
+                 gbt_fit(copy, y, np.ones(3), GbtParams(n_estimators=2, max_depth=2))]
         assert len(calls) == 3
         for a, b in zip(fits, fresh + fresh[:1]):
             assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    def test_writable_table_is_presorted_fresh_after_each_change(self, calls):
+    def test_lists_are_dropped_when_the_table_is_freed(self, calls, kept_before):
+        x, y = self.table(4, writeable=False)
+        dt_fit(x, y, np.ones(3), TreeParams(max_depth=3))
+        assert set(trees._kept_lists) - kept_before == {id(x)}
+        alive = weakref.ref(x)
+        del x
+        assert alive() is None and set(trees._kept_lists) == kept_before
+
+    def test_writable_table_is_presorted_fresh_after_each_change(self, calls, kept_before):
         x, y = self.table(1, writeable=True)
         for step in range(3):
             model = dt_fit(x, y, np.ones(3), TreeParams(max_depth=4))
-            assert trees._presort_memo == [None, None] and len(calls) == 2 * step + 1
-            trees._presort_memo = None
-            fresh = dt_fit(x, y, np.ones(3), TreeParams(max_depth=4))
+            assert len(calls) == 2 * step + 1 and set(trees._kept_lists) == kept_before
+            fresh = dt_fit(x.copy(), y, np.ones(3), TreeParams(max_depth=4))
             assert json.dumps(model.to_dict()) == json.dumps(fresh.to_dict())
-            trees._presort_memo = [None, None]
             x[:, step] = x[::-1, step]  # in place: the next fit must see the new order
 
-    def test_read_only_view_of_a_writable_table_is_not_kept(self, calls):
+    def test_read_only_view_of_a_writable_table_is_not_kept(self, calls, kept_before):
         base, y = self.table(2, writeable=True)
         view = base.view()
         view.setflags(write=False)
         first = dt_fit(view, y, np.ones(3), TreeParams(max_depth=4))
         base[:, 0] = base[::-1, 0]
         second = dt_fit(view, y, np.ones(3), TreeParams(max_depth=4))
-        assert len(calls) == 2 and trees._presort_memo == [None, None]
+        assert len(calls) == 2 and set(trees._kept_lists) == kept_before
         assert json.dumps(first.to_dict()) != json.dumps(second.to_dict())
 
-    def test_forest_bootstraps_do_not_evict_the_table(self, calls):
+    def test_forest_bootstraps_do_not_evict_the_table(self, calls, kept_before):
         x, y = self.table(3, writeable=False)
         dt_fit(x, y, np.ones(3))
         rf_fit(x, y, np.ones(3), ForestParams(n_estimators=3, max_depth=3), seed=1)
         gbt_fit(x, y, np.ones(3), GbtParams(n_estimators=1))
-        assert [c is x for c in calls] == [True, False, False, False]
-        assert trees._presort_memo[0] is x
+        assert [c == id(x) for c in calls] == [True, False, False, False]
+        assert set(trees._kept_lists) - kept_before == {id(x)}
 
 
 class TestNodeLists:
@@ -582,7 +625,7 @@ class TestSplitProperties:
         in_round[rows] = True
         ordered, xs = trees._table_lists(x)
         ordered, xs = trees._partition(in_round[ordered].ravel(), ordered, xs)
-        expected = rows[trees._presort(x[rows])]
+        expected = rows[trees._presort(x[rows])[0]]
         assert ordered.shape == expected.shape and ordered.tobytes() == expected.tobytes()
         assert xs.tobytes() == np.take_along_axis(x, expected.T, axis=0).T.tobytes()
 
@@ -601,7 +644,9 @@ class TestSplitProperties:
     def test_presort_is_the_stable_argsort(self, table):
         x, rows = table
         expected = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
-        assert trees._presort(x).tobytes() == expected.tobytes()
+        ordered, xs = trees._presort(x)
+        assert ordered.tobytes() == expected.tobytes()
+        assert xs.tobytes() == np.array([x[ordered[f], f] for f in range(x.shape[1])]).tobytes()
         self.assert_round_lists_are_a_fresh_sort(x, rows)
 
     @FAST
