@@ -268,10 +268,9 @@ def run_block(prepared, family: str, strategy: str, filter_threshold: int, seed:
 def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
               fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
     """One benchmark run from ``data``: ``run_block``'s ``(BlockResult,
-    model)`` on a slice this call filters and splits for itself, where a
-    sweep prepares each slice once for all its blocks.  A tree fit presorts
-    the slice's training table, and the presort goes with the table when the
-    call returns."""
+    model)`` on a slice of its own, where a sweep prepares each slice once
+    for all its blocks; the slice, and with it any presort of its training
+    table, is freed when this returns."""
     return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, filter_threshold, seed,
                      target, beta, params)
 

@@ -334,22 +334,17 @@ _kept_lists = {}
 
 
 def _table_lists(x: np.ndarray) -> tuple:
-    """``_presort(x)``, kept for every later fit of the same ``x`` while
-    ``x`` lives.  Only a read-only array that owns its data is kept, keyed
-    on its identity: nothing can change it in place.  Its entry goes when
-    ``x`` is freed, so the lists live exactly as long as their table.  Any
-    other array (rf's bootstraps, a writable table, a view) is sorted afresh
-    every time."""
-    keep = not x.flags.writeable and x.flags.owndata
-    lists = _kept_lists.get(id(x)) if keep else None
-    if lists is None:
-        lists = _presort(x)
-        if keep:
-            for a in lists:
-                a.setflags(write=False)
-            _kept_lists[id(x)] = lists
-            weakref.finalize(x, _kept_lists.pop, id(x), None)
-    return lists
+    """``_presort(x)``, kept on ``x``'s identity for as long as ``x`` lives if
+    it is read-only and owns its data, so that nothing can change it in place.
+    Any other array (rf's bootstraps, a writable table, a view) is sorted afresh."""
+    if x.flags.writeable or not x.flags.owndata:
+        return _presort(x)
+    if id(x) not in _kept_lists:
+        _kept_lists[id(x)] = _presort(x)
+        for a in _kept_lists[id(x)]:
+            a.setflags(write=False)
+        weakref.finalize(x, _kept_lists.pop, id(x), None)
+    return _kept_lists[id(x)]
 
 
 def _increasing(v: np.ndarray) -> np.ndarray:
