@@ -3,9 +3,10 @@ summarize, persist, and pivot results for rank analysis.
 
 A *block* is one (target, filter-threshold) slice of a dataset; a
 *classifier* is a model family paired with a weighting strategy.  Each run
-filters rare classes, splits stratified (60/20/20 by default), computes
-class weights on the training split only, fits with the fit wall-clock
-timed, and evaluates accuracy plus macro and weighted F1 on the test split.
+filters rare classes, splits stratified (60/20/20 by default), then fits
+and scores by the protocol it shares with HPO folds (``hpo._fit_and_score``):
+class weights from the training split only, a fit with its wall-clock timed,
+and accuracy plus macro and weighted F1 on the test split.
 A sweep prepares each (threshold, seed) slice once, as a plain value, and
 runs every block of the slice on it (``run_block``); ``fit_block`` runs one
 block from the data.
@@ -17,7 +18,6 @@ import csv
 import json
 import operator
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -25,12 +25,12 @@ import numpy as np
 
 from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
                    preprocess, stratified_split)
-from .evaluation import accuracy, confusion_matrix, f1_scores
-from .hpo import DEFAULT_FAMILIES, HpoSpec, _install_families, get_family, hpo_random_search
+from .evaluation import accuracy, f1_scores
+from .hpo import DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, get_family, hpo_random_search
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import BlockMatrix
 from .synth import SynthConfig, synth_generate
-from .weighting import DEFAULT_BETA, STRATEGIES, check_beta, compute_weights
+from .weighting import DEFAULT_BETA, STRATEGIES, check_beta
 
 __all__ = ["ExperimentConfig", "BlockResult", "SummaryRow", "METRICS", "classifier_id", "fit_block", "run_block",
            "run_sweep", "summarize", "write_results", "read_results", "write_results_json", "write_summary",
@@ -219,35 +219,26 @@ def _slice(data: Dataset, filter_threshold: int, seed: int, fractions) -> tuple:
     return dist, imbalance_report(dist), train, filtered.subset(split.val), filtered.subset(split.test)
 
 
-def run_block(prepared, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
-              beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
-    """One benchmark run on a slice ``_slice`` prepared: ``(BlockResult,
-    model)``, the model the result scored, or None unless the status is
-    "ok".  A skipped slice gives a skipped result, and an exception from the
-    model's fit or predict a failed one (reason ``"<ExcType>: <message>"``),
-    rather than an exception."""
+def run_block(prepared, family: str, strategy: str, params: dict, filter_threshold: int, seed: int,
+              target: str = "label", beta: float = DEFAULT_BETA) -> tuple:
+    """One benchmark run on a slice ``_slice`` prepared, fitting ``family``
+    with exactly ``params``: ``(BlockResult, model)``, the model the result
+    scored, or None unless the status is "ok".  A skipped slice gives a
+    skipped result, and an exception from the weights, the fit, the
+    prediction or its scoring a failed one (reason ``"<ExcType>:
+    <message>"``), rather than an exception."""
     cid = classifier_id(family, strategy)
-    spec = get_family(family)
-    merged = {**spec.default_params, **(params or {})}
     if isinstance(prepared, str):
         return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=prepared), None
     dist, report, train, val, test = prepared
-    weights = compute_weights(dist, strategy, beta=beta)
-
     try:
-        t0 = time.perf_counter()
-        model = spec.fit(
-            train.features, train.labels, weights, merged, dist.n_classes, seed,
-            x_val=val.features, y_val=val.labels,
-        )
-        seconds = time.perf_counter() - t0
-        pred = model.predict(test.features)
+        model, seconds, cm = _fit_and_score(family, params, dist, strategy, beta, seed, (train.features, train.labels),
+                                            (val.features, val.labels), (test.features, test.labels))
     except Exception as exc:  # noqa: BLE001 - one failed fit must not abort the sweep
         return BlockResult(
             cid, target, filter_threshold, seed,
             status="failed", reason="%s: %s" % (type(exc).__name__, exc),
         ), None
-    cm = confusion_matrix(test.labels, pred, n_classes=dist.n_classes)
     f1 = f1_scores(cm)
     return BlockResult(
         classifier=cid,
@@ -267,12 +258,14 @@ def run_block(prepared, family: str, strategy: str, filter_threshold: int, seed:
 
 def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
               fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
-    """One benchmark run from ``data``: ``run_block``'s ``(BlockResult,
-    model)`` on a slice of its own, where a sweep prepares each slice once
-    for all its blocks; the slice, and with it any presort of its training
-    table, is freed when this returns."""
-    return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, filter_threshold, seed,
-                     target, beta, params)
+    """One benchmark run from ``data``, with ``params`` over the family's
+    registry defaults: ``run_block``'s ``(BlockResult, model)`` on a slice
+    of its own, where a sweep prepares each slice once for all its blocks;
+    the slice, and with it any presort of its training table, is freed when
+    this returns."""
+    params = {**get_family(family).default_params, **(params or {})}
+    return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, params, filter_threshold,
+                     seed, target, beta)
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,7 @@ def _run_slice(data: Dataset, threshold: int, seed: int, blocks, target: str, fr
     it.  Its training table is read-only, so the dt and gbt fits share one
     presort of it, which is freed with the slice when this returns."""
     prepared = _slice(data, threshold, seed, fractions)
-    return [run_block(prepared, family, strategy, threshold, seed, target, beta, params)[0]
+    return [run_block(prepared, family, strategy, params, threshold, seed, target, beta)[0]
             for family, strategy, params in blocks]
 
 

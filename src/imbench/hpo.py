@@ -14,6 +14,7 @@ count is pruned.  Ties on the final mean resolve to the lowest trial index.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -180,6 +181,21 @@ def fit_family(family: str, x, y, weights, params: dict, n_classes: int, seed: i
     return get_family(family).fit(x, y, weights, params, n_classes, seed, x_val=x_val, y_val=y_val)
 
 
+def _fit_and_score(family: str, params: dict, dist, strategy: str, beta: float, seed: int, train, val, scored) -> tuple:
+    """The protocol of every scored fit (a sweep block, ``imbench train``, an
+    HPO fold): class weights from ``dist``, the training rows' class
+    distribution; a ``fit_family`` fit with exactly ``params``, validated on
+    ``val``; then the confusion matrix of its predictions on ``scored``.
+    ``train``, ``val`` and ``scored`` are ``(x, y)`` pairs.  Returns
+    ``(model, fit seconds, confusion matrix)``."""
+    (x, y), (x_val, y_val), (x_scored, y_scored) = train, val, scored
+    weights = compute_weights(dist, strategy, beta=beta)
+    t0 = time.perf_counter()
+    model = fit_family(family, x, y, weights, params, dist.n_classes, seed, x_val=x_val, y_val=y_val)
+    seconds = time.perf_counter() - t0
+    return model, seconds, confusion_matrix(y_scored, model.predict(x_scored), n_classes=dist.n_classes)
+
+
 def sample_params(family: str, rng: np.random.Generator, n_features: int) -> dict:
     """Draw one configuration from the family's registered search space."""
     space = get_family(family).search_space
@@ -243,26 +259,6 @@ def stratified_kfold(y: np.ndarray, n_folds: int, seed: int) -> list:
     return [np.sort(np.concatenate(parts)) for parts in folds]
 
 
-def _fold_score(family, x, y, n_classes, params, strategy, beta, train_idx, val_idx, seed) -> float:
-    dist = class_frequencies(y[train_idx])
-    if dist.n_classes != n_classes:
-        raise ValueError("a class is missing from one CV training fold; use fewer folds")
-    w = compute_weights(dist, strategy, beta=beta)
-    model = fit_family(
-        family,
-        x[train_idx],
-        y[train_idx],
-        w,
-        params,
-        n_classes,
-        seed,
-        x_val=x[val_idx],
-        y_val=y[val_idx],
-    )
-    pred = model.predict(x[val_idx])
-    return f1_scores(confusion_matrix(y[val_idx], pred, n_classes=n_classes)).weighted
-
-
 def hpo_random_search(
     family: str,
     x,
@@ -274,56 +270,50 @@ def hpo_random_search(
 ) -> HpoResult:
     """Random-search HPO for one registered family with a search space.
 
-    Class weights follow ``strategy`` and are recomputed on each fold's
+    Class weights follow ``strategy`` and are computed from each fold's
     training portion.  The held-out fold is also each fit's validation
     split, which tabresnet's early stopping uses, matching the
-    validation-F1 objective.
+    validation-F1 objective.  Each fold's training rows and class
+    distribution are built once per search, so a fold whose training
+    portion misses a class is an error before the first fit.
     """
     spec = spec or HpoSpec()
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    folds = stratified_kfold(y, spec.cv_folds, spec.seed)
     all_idx = np.arange(y.size)
+    folds = []  # (training class distribution, training rows, held-out rows) per fold
+    for fold in stratified_kfold(y, spec.cv_folds, spec.seed):
+        train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
+        dist = class_frequencies(y[train_idx])
+        if dist.n_classes != n_classes:
+            raise ValueError("a class is missing from one CV training fold; use fewer folds")
+        folds.append((dist, (x[train_idx], y[train_idx]), (x[fold], y[fold])))
     rng = np.random.default_rng(spec.seed)
 
     trials: list = []
     # running fold-means of completed trials, keyed by fold count
     completed_running: dict = {f: [] for f in range(spec.cv_folds)}
-    best_mean = -np.inf
-    best_trial = -1
-    best_params: dict = {}
     for t in range(spec.n_trials):
         params = sample_params(family, rng, x.shape[1])
         params.update(spec.overrides)
         scores: list = []
         pruned = False
-        for f, fold in enumerate(folds):
-            train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
-            scores.append(
-                _fold_score(family, x, y, n_classes, params, strategy, beta, train_idx, fold, spec.seed)
-            )
+        for f, (dist, train, held_out) in enumerate(folds):
+            cm = _fit_and_score(family, params, dist, strategy, beta, spec.seed, train, held_out, held_out)[2]
+            scores.append(f1_scores(cm).weighted)
             running = float(np.mean(scores))
             is_last = f == spec.cv_folds - 1
             if not is_last and completed_running[f] and running < float(np.median(completed_running[f])):
                 pruned = True
                 break
-        record = TrialRecord(index=t, params=params, fold_scores=scores, status="pruned" if pruned else "completed")
-        trials.append(record)
+        trials.append(TrialRecord(index=t, params=params, fold_scores=scores,
+                                  status="pruned" if pruned else "completed"))
         if not pruned:
             for f in range(spec.cv_folds):
                 completed_running[f].append(float(np.mean(scores[: f + 1])))
-            if record.mean_score > best_mean:
-                best_mean = record.mean_score
-                best_trial = t
-                best_params = dict(params)
-    if best_trial < 0:
-        raise RuntimeError("no trial completed; pruning removed everything")
-    return HpoResult(
-        family=family,
-        best_params=best_params,
-        best_score=float(best_mean),
-        best_trial=best_trial,
-        trials=trials,
-    )
+    # the first trial is never pruned, and max keeps the lowest index on a tie
+    best = max((r for r in trials if r.status == "completed"), key=lambda r: r.mean_score)
+    return HpoResult(family=family, best_params=dict(best.params), best_score=best.mean_score, best_trial=best.index,
+                     trials=trials)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .evaluation import confusion_matrix, f1_scores
 from .losses import _weight_vector, bce_from_logits, cce_from_logits, sigmoid, softmax
+from .trees import _checked_table
 
 __all__ = [
     "ResNetConfig",
@@ -361,8 +362,7 @@ class TabResNetModel:
         self.n_classes = cfg.n_classes
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        logits = self.net.forward(x, train=False)
+        logits = self.net.forward(_checked_table(x, self.cfg.n_features), train=False)
         if self.cfg.binary_mode:
             p = sigmoid(logits[:, 0])
             return np.column_stack([1.0 - p, p])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from imbench import SynthConfig, synth_generate
+from imbench import SynthConfig, hpo, synth_generate
 
 
 def make_blobs(n_samples, n_classes, n_features, separation, seed, counts=None, gamma=None):
@@ -28,3 +28,12 @@ def make_blobs(n_samples, n_classes, n_features, separation, seed, counts=None, 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def _restore_family_registry():
+    """Undo every register_family/alias_family/unregister_family a test makes."""
+    saved = dict(hpo._REGISTRY)
+    yield
+    hpo._REGISTRY.clear()
+    hpo._REGISTRY.update(saved)

@@ -18,7 +18,6 @@ from imbench import (
     preprocess,
     read_results,
     stratified_split,
-    unregister_family,
 )
 from imbench.cli import main
 
@@ -156,13 +155,10 @@ class TestTrain:
     def test_registered_family_is_accepted(self, dataset, capsys):
         csv, schema = dataset
         alias_family("dt2", "dt")
-        try:
-            assert main(["train", "--csv", csv, "--schema", schema, "--family", "dt2"]) == 0
-            assert "classifier:     dt2+none" in capsys.readouterr().out
-            code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt2",
-                         "--trials", "2", "--folds", "2"])
-        finally:
-            unregister_family("dt2")
+        assert main(["train", "--csv", csv, "--schema", schema, "--family", "dt2"]) == 0
+        assert "classifier:     dt2+none" in capsys.readouterr().out
+        code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt2",
+                     "--trials", "2", "--folds", "2"])
         assert code == 0
         assert "best params:" in capsys.readouterr().out
 

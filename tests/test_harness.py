@@ -86,6 +86,16 @@ def broken_predict_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val
     return _BrokenPredictModel(0, n_classes)
 
 
+class _OutOfRangeModel(_MajorityModel):
+    def predict(self, x):
+        return np.full(np.asarray(x).shape[0], self.n_classes, dtype=np.int64)
+
+
+def out_of_range_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    """Fits a model whose every prediction is label ``n_classes``, one past the last class."""
+    return _OutOfRangeModel(0, n_classes)
+
+
 _FITS = []
 
 
@@ -161,22 +171,17 @@ class TestRegistry:
 
     def test_register_and_unregister(self):
         register_family("majority", majority_fit, {})
-        try:
-            assert "majority" in registered_families()
-            assert get_family("majority").fit is majority_fit
-        finally:
-            unregister_family("majority")
+        assert "majority" in registered_families()
+        assert get_family("majority").fit is majority_fit
+        unregister_family("majority")
         assert "majority" not in registered_families()
 
     def test_alias_copies_fit_and_defaults(self):
         alias_family("dt_copy", "dt")
-        try:
-            original, copy = get_family("dt"), get_family("dt_copy")
-            assert copy.fit is original.fit
-            assert copy.default_params == original.default_params
-            assert copy.default_params is not original.default_params
-        finally:
-            unregister_family("dt_copy")
+        original, copy = get_family("dt"), get_family("dt_copy")
+        assert copy.fit is original.fit
+        assert copy.default_params == original.default_params
+        assert copy.default_params is not original.default_params
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown model family"):
@@ -187,17 +192,11 @@ class TestRegistry:
         path.write_text(json.dumps({"family": "majority", "label": 2, "n_classes": 3}), encoding="utf-8")
         register_family("majority", majority_fit, {},
                         from_dict=lambda obj: _MajorityModel(obj["label"], obj["n_classes"]))
-        try:
-            model = load_model(path)
-        finally:
-            unregister_family("majority")
+        model = load_model(path)
         assert model.predict(np.zeros((4, 2))).tolist() == [2, 2, 2, 2]
         register_family("majority", majority_fit, {})
-        try:
-            with pytest.raises(ValueError, match="'majority' has no from_dict"):
-                load_model(path)
-        finally:
-            unregister_family("majority")
+        with pytest.raises(ValueError, match="'majority' has no from_dict"):
+            load_model(path)
 
     def test_classifier_id_format(self):
         assert classifier_id("dt", "inverse") == "dt+inverse"
@@ -396,10 +395,7 @@ class TestRunBlock:
 
     def test_custom_family_is_runnable(self):
         register_family("majority", majority_fit, {})
-        try:
-            r = fit_block(self.data(), "majority", "none", 1, seed=0)[0]
-        finally:
-            unregister_family("majority")
+        r = fit_block(self.data(), "majority", "none", 1, seed=0)[0]
         assert r.status == "ok"
         # the constant majority prediction scores its class share
         assert abs(r.accuracy - 0.6) < 0.05
@@ -407,10 +403,7 @@ class TestRunBlock:
 
     def test_raising_fit_becomes_a_failed_row(self):
         register_family("flaky", flaky_fit, {})
-        try:
-            r = fit_block(self.data(), "flaky", "inverse", 1, seed=1)[0]
-        finally:
-            unregister_family("flaky")
+        r = fit_block(self.data(), "flaky", "inverse", 1, seed=1)[0]
         assert (r.classifier, r.filter_threshold, r.seed) == ("flaky+inverse", 1, 1)
         assert r.status == "failed"
         assert r.reason == "RuntimeError: non-finite training loss at epoch 0, batch 3 (lr=0.1)"
@@ -418,23 +411,23 @@ class TestRunBlock:
 
     def test_raising_predict_becomes_a_failed_row(self):
         register_family("broken", broken_predict_fit, {})
-        try:
-            r = fit_block(self.data(), "broken", "none", 1, seed=0)[0]
-        finally:
-            unregister_family("broken")
+        r = fit_block(self.data(), "broken", "none", 1, seed=0)[0]
         assert r.status == "failed"
         assert r.reason == "ValueError: cannot predict"
+
+    def test_out_of_range_prediction_becomes_a_failed_row(self):
+        register_family("off_by_one", out_of_range_fit, {})
+        r, model = fit_block(self.data(), "off_by_one", "none", 1, seed=0)
+        assert (r.status, r.reason, model) == ("failed", "ValueError: labels out of range for 3 classes", None)
+        assert math.isnan(r.accuracy) and math.isnan(r.train_seconds)
 
 
 class TestRunSweep:
     def test_failed_fits_are_rows_and_workers_agree(self, tmp_path):
         register_family("flaky", flaky_fit, {})
-        try:
-            config = small_config(families=("flaky", "dt"), n_runs=4)
-            serial, serial_summaries = run_sweep(config)
-            parallel, parallel_summaries = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
-        finally:
-            unregister_family("flaky")
+        config = small_config(families=("flaky", "dt"), n_runs=4)
+        serial, serial_summaries = run_sweep(config)
+        parallel, parallel_summaries = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}))
         assert len(serial) == len(parallel) == 8
         assert all(rows_match(a, b) for a, b in zip(serial, parallel))
         failed = [r for r in serial if r.status == "failed"]
@@ -498,6 +491,19 @@ class TestRunSweep:
         assert len(serial) == len(parallel)
         assert all(rows_match(a, b) for a, b in zip(serial, parallel))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_range_predictions_are_failed_rows(self, workers):
+        """A prediction its confusion matrix cannot hold fails its block, not
+        the sweep."""
+        register_family("off_by_one", out_of_range_fit, {})
+        rows, summaries = run_sweep(small_config(families=("off_by_one", "dt"), n_runs=2, workers=workers))
+        assert [(r.classifier, r.seed, r.status, r.reason) for r in rows] == [
+            ("dt+none", 0, "ok", ""), ("dt+none", 1, "ok", ""),
+            ("off_by_one+none", 0, "failed", "ValueError: labels out of range for 3 classes"),
+            ("off_by_one+none", 1, "failed", "ValueError: labels out of range for 3 classes"),
+        ]
+        assert [s.classifier for s in summaries] == ["dt+none"]
+
     def test_registered_families_reach_spawned_workers(self, monkeypatch):
         """A spawned worker imports only the built-in families; the sweep
         hands it the aliased and the registered one, and the data once."""
@@ -512,8 +518,6 @@ class TestRunSweep:
             assert _PICKLED == []
             parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": 2}), data)
         finally:
-            unregister_family("dt2")
-            unregister_family("majority")
             pickled = len(_PICKLED)
             _PICKLED.clear()
         assert len(serial) == 6 and all(r.status == "ok" for r in serial)
@@ -522,12 +526,9 @@ class TestRunSweep:
 
     def test_unpicklable_family_is_named_before_the_pool_starts(self):
         register_family("lambda_fit", lambda *args, **kwargs: majority_fit(*args, **kwargs), {})
-        try:
-            with pytest.raises(ValueError, match="family 'lambda_fit' cannot be sent to worker processes: "
-                                                 "its fit must be a module-level function"):
-                run_sweep(small_config(families=("lambda_fit",), n_runs=2, workers=2))
-        finally:
-            unregister_family("lambda_fit")
+        with pytest.raises(ValueError, match="family 'lambda_fit' cannot be sent to worker processes: "
+                                             "its fit must be a module-level function"):
+            run_sweep(small_config(families=("lambda_fit",), n_runs=2, workers=2))
 
     def test_each_slice_is_filtered_and_split_once(self, monkeypatch):
         """A serial sweep prepares each (threshold, seed) slice once, runs
@@ -547,20 +548,17 @@ class TestRunSweep:
         config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
                               filter_thresholds=(1, 60, 200), n_runs=3)
         register_family("majority", majority_fit, {})
-        try:
-            data = harness.load_dataset(config)
-            results, _ = run_sweep(config, data)
-            assert calls == {"filter": 3 * 3, "split": 2 * 3, "block": 3 * 3 * 2 * 2}  # 200 fails the filter
-            # one slice at a time from here, seed innermost, so no call reuses the last slice
-            independent = {
-                (r.classifier, r.filter_threshold, r.seed): r
-                for family in config.families for strategy in config.strategies
-                for threshold in config.filter_thresholds for seed in range(3)
-                for r in [harness.fit_block(data, family, strategy, threshold, seed,
-                                            params=config.model_params.get(family))[0]]
-            }
-        finally:
-            unregister_family("majority")
+        data = harness.load_dataset(config)
+        results, _ = run_sweep(config, data)
+        assert calls == {"filter": 3 * 3, "split": 2 * 3, "block": 3 * 3 * 2 * 2}  # 200 fails the filter
+        # one slice at a time from here, seed innermost, so no call reuses the last slice
+        independent = {
+            (r.classifier, r.filter_threshold, r.seed): r
+            for family in config.families for strategy in config.strategies
+            for threshold in config.filter_thresholds for seed in range(3)
+            for r in [harness.fit_block(data, family, strategy, threshold, seed,
+                                        params=config.model_params.get(family))[0]]
+        }
         assert calls["split"] == 2 * 3 + 2 * 2 * 2 * 3
         assert len(results) == len(independent) == 36
         assert all(rows_match(r, independent[(r.classifier, r.filter_threshold, r.seed)]) for r in results)
@@ -620,11 +618,8 @@ class TestRunSweep:
         config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
                               filter_thresholds=(1, 60)[:n_thresholds], n_runs=n_runs)
         register_family("majority", majority_fit, {})
-        try:
-            serial, _ = run_sweep(config)
-            parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": workers}))
-        finally:
-            unregister_family("majority")
+        serial, _ = run_sweep(config)
+        parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": workers}))
         blocks = [sorted((family, strategy) for family, strategy, _ in task[2]) for task in _InlinePool.tasks]
         assert len(blocks) == n_tasks
         assert sorted(b for task in blocks for b in task) == sorted(
@@ -665,8 +660,6 @@ class TestRunSweep:
             results, _ = run_sweep(config, data)
             fits = list(_FITS)
         finally:
-            unregister_family("rec_a")
-            unregister_family("rec_b")
             _FITS.clear()
         trains = {}
         for threshold in (1, 60):

@@ -17,7 +17,6 @@ from imbench import (
     register_family,
     sample_params,
     stratified_kfold,
-    unregister_family,
 )
 from tests.conftest import make_blobs
 
@@ -218,10 +217,7 @@ class TestRandomSearch:
         x, y = parity_dataset(copies=12)
         spec = HpoSpec(n_trials=8, cv_folds=3, seed=4)
         alias_family("dt2", "dt")
-        try:
-            alias = hpo_random_search("dt2", x, y, spec=spec)
-        finally:
-            unregister_family("dt2")
+        alias = hpo_random_search("dt2", x, y, spec=spec)
         base = hpo_random_search("dt", x, y, spec=spec)
         assert alias.family == "dt2"
         assert [(t.params, t.fold_scores, t.status) for t in alias.trials] == [
@@ -234,11 +230,23 @@ class TestRandomSearch:
     def test_family_without_search_space_rejected(self):
         x, y = parity_dataset(copies=4)
         register_family("fixed", lambda *args, **kwargs: None)
-        try:
-            with pytest.raises(ValueError, match="'fixed' has no search_space"):
-                hpo_random_search("fixed", x, y, spec=HpoSpec(n_trials=2, cv_folds=2))
-        finally:
-            unregister_family("fixed")
+        with pytest.raises(ValueError, match="'fixed' has no search_space"):
+            hpo_random_search("fixed", x, y, spec=HpoSpec(n_trials=2, cv_folds=2))
+
+    def test_a_class_missing_from_the_training_folds_fails_before_any_fit(self):
+        """Each fold's training rows and class counts are built once, before
+        the first trial, so a class no fold trains on stops the search
+        before any fit."""
+        x, y = parity_dataset(copies=4)
+        fits = []
+
+        def counting_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+            fits.append(len(y))
+
+        register_family("counting", counting_fit, {}, search_space=lambda rng, n_features: {})
+        with pytest.raises(ValueError, match="a class is missing from one CV training fold"):
+            hpo_random_search("counting", x, y, spec=HpoSpec(n_trials=2, cv_folds=2), n_classes=3)
+        assert fits == []
 
     def test_scores_are_valid_f1_values(self):
         data = make_blobs(150, 3, 4, 2.0, seed=2)

@@ -1,5 +1,7 @@
 """Hand-rolled residual network: layers, training loop, and gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,25 @@ class TestSerialization:
         assert clone.family == "tabresnet"
         probe = rng.normal(size=(20, 4))
         np.testing.assert_array_equal(clone.predict_proba(probe), model.predict_proba(probe))
+
+    def test_data_of_another_width_rejected(self, tmp_path):
+        """A network predicts only on tables of its fit's width, in memory and
+        after a save/load, with the tree models' error."""
+        from imbench import load_model, save_model
+
+        data = make_blobs(60, 2, 4, 2.0, seed=8)
+        model = nn_fit(data.features, data.labels, np.ones(2), small_cfg(max_epochs=2),
+                       data.features, data.labels)
+        path = tmp_path / "net.json"
+        save_model(model, path)
+        x = data.features
+        for m in (model, load_model(path)):
+            for bad in (np.hstack([x, x[:, :2]]), x[:, :3], x[0]):
+                message = r"the model was fitted on 4 features, got data of shape %s" % re.escape(str(bad.shape))
+                for method in (m.predict, m.predict_proba):
+                    with pytest.raises(ValueError, match=message):
+                        method(bad)
+            assert m.predict_proba(x).shape == (60, 2)
 
     @pytest.mark.parametrize("index, shape, n_values", [
         (1, [1], 1),  # the input bias, one value where there are eight
