@@ -45,6 +45,7 @@ from .hpo import (
     HpoSpec,
     TrialRecord,
     alias_family,
+    family_params,
     fit_family,
     get_family,
     hpo_random_search,

@@ -26,7 +26,8 @@ import numpy as np
 from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
                    preprocess, stratified_split)
 from .evaluation import accuracy, f1_scores
-from .hpo import DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, get_family, hpo_random_search
+from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, _known, family_params, get_family,
+                  hpo_random_search)
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import BlockMatrix
 from .synth import SynthConfig, synth_generate
@@ -113,14 +114,6 @@ def _once(values, where: str) -> tuple:
         if value in values[:i]:
             raise ValueError("%s names %r more than once" % (where, value))
     return values
-
-
-def _known(obj: dict, allowed, where: str) -> dict:
-    """``obj``, or a ValueError naming its first key not in ``allowed``."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError("unknown key %r in %s" % (unknown[0], where))
-    return obj
 
 
 # JSON keys under "dataset" and "hpo" that name an ExperimentConfig field
@@ -258,12 +251,12 @@ def run_block(prepared, family: str, strategy: str, params: dict, filter_thresho
 
 def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
               fractions=DEFAULT_FRACTIONS, beta: float = DEFAULT_BETA, params: dict | None = None) -> tuple:
-    """One benchmark run from ``data``, with ``params`` over the family's
-    registry defaults: ``run_block``'s ``(BlockResult, model)`` on a slice
+    """One benchmark run from ``data`` with ``family_params(family,
+    params)``: ``run_block``'s ``(BlockResult, model)`` on a slice
     of its own, where a sweep prepares each slice once for all its blocks;
     the slice, and with it any presort of its training table, is freed when
     this returns."""
-    params = {**get_family(family).default_params, **(params or {})}
+    params = family_params(family, params)
     return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, params, filter_threshold,
                      seed, target, beta)
 
@@ -290,13 +283,16 @@ class SummaryRow:
 
 
 def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
-    """Per-(family, threshold) params: registry defaults, then config
-    overrides, then HPO winners when ``config.hpo`` is set.  Each search
-    runs on the training split of the threshold's first-seed slice, the one
-    its blocks use; a slice that would be skipped raises."""
+    """Per-(family, threshold) params: ``family_params`` of the config's,
+    then HPO winners when ``config.hpo`` is set, whose overrides every
+    family must take.  Each search runs on the training split of the
+    threshold's first-seed slice, the one its blocks use; a slice that
+    would be skipped raises."""
     out = {}
     for family in config.families:
-        base = {**get_family(family).default_params, **config.model_params.get(family, {})}
+        base = family_params(family, config.model_params.get(family))
+        if config.hpo is not None:
+            family_params(family, config.hpo.overrides)
         for threshold in config.filter_thresholds:
             out[(family, threshold)] = dict(base)
     if config.hpo is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .trees import (DecisionTreeModel, ForestParams, GbtParams, GradientBoostedM
 from .weighting import DEFAULT_BETA, compute_weights
 
 __all__ = ["FamilySpec", "DEFAULT_FAMILIES", "register_family", "alias_family", "unregister_family",
-           "registered_families", "get_family", "fit_family", "sample_params", "HpoSpec", "TrialRecord",
-           "HpoResult", "stratified_kfold", "hpo_random_search"]
+           "registered_families", "get_family", "family_params", "fit_family", "sample_params", "HpoSpec",
+           "TrialRecord", "HpoResult", "stratified_kfold", "hpo_random_search"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class FamilySpec:
     ``search_space(rng, n_features)`` draws one params dict for HPO, and
     ``from_dict(obj)`` rebuilds a model from its ``to_dict()`` JSON for
     ``load_model``; a family without them cannot be tuned or loaded.
+    ``default_params`` names every parameter the family takes; ``{}`` none.
     """
 
     name: str
@@ -164,16 +165,33 @@ def _space_tabresnet(rng, n_features):
     }
 
 
-register_family("dt", _fit_dt, {"max_depth": 12}, _space_dt, DecisionTreeModel.from_dict)
-register_family("rf", _fit_rf, {"n_estimators": 100, "max_depth": 12}, _space_rf, RandomForestModel.from_dict)
-register_family("gbt", _fit_gbt, {"n_estimators": 200, "learning_rate": 0.1, "max_depth": 3}, _space_gbt,
-                GradientBoostedModel.from_dict)
-register_family("tabresnet", _fit_tabresnet, {"hidden_dim": 32, "n_blocks": 2, "dropout": 0.1, "learning_rate": 1e-3,
-                                              "weight_decay": 1e-4, "batch_size": 128, "max_epochs": 200},
+# A built-in's defaults are its params dataclass's.  tabresnet's leave out the
+# fields the data and the seed give, and narrow the hidden layer for sweeps.
+_DATA_GIVEN = ("n_features", "n_classes", "seed")
+register_family("dt", _fit_dt, asdict(TreeParams()), _space_dt, DecisionTreeModel.from_dict)
+register_family("rf", _fit_rf, asdict(ForestParams()), _space_rf, RandomForestModel.from_dict)
+register_family("gbt", _fit_gbt, asdict(GbtParams()), _space_gbt, GradientBoostedModel.from_dict)
+register_family("tabresnet", _fit_tabresnet,
+                {**{f.name: f.default for f in fields(ResNetConfig) if f.name not in _DATA_GIVEN}, "hidden_dim": 32},
                 _space_tabresnet, TabResNetModel.from_dict)
 
 # the families a sweep runs unless its config names others, in registration order
 DEFAULT_FAMILIES = tuple(_REGISTRY)
+
+
+def _known(obj: dict, allowed, where: str) -> dict:
+    """``obj``, or a ValueError naming its first key not in ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError("unknown key %r in %s" % (unknown[0], where))
+    return obj
+
+
+def family_params(family: str, params: dict | None = None) -> dict:
+    """The family's ``default_params`` updated with ``params``, or a
+    ValueError naming a key of ``params`` that the defaults do not name."""
+    defaults = get_family(family).default_params
+    return {**defaults, **_known(params or {}, defaults, "the params of family %r" % family)}
 
 
 def fit_family(family: str, x, y, weights, params: dict, n_classes: int, seed: int, x_val=None, y_val=None):
@@ -274,10 +292,12 @@ def hpo_random_search(
     training portion.  The held-out fold is also each fit's validation
     split, which tabresnet's early stopping uses, matching the
     validation-F1 objective.  Each fold's training rows and class
-    distribution are built once per search, so a fold whose training
-    portion misses a class is an error before the first fit.
+    distribution are built once per search, read-only so that its trials
+    share one presort, and a fold whose training portion misses a class, or
+    an override the family does not take, is an error before the first fit.
     """
     spec = spec or HpoSpec()
+    family_params(family, spec.overrides)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if n_classes is None:
@@ -289,7 +309,9 @@ def hpo_random_search(
         dist = class_frequencies(y[train_idx])
         if dist.n_classes != n_classes:
             raise ValueError("a class is missing from one CV training fold; use fewer folds")
-        folds.append((dist, (x[train_idx], y[train_idx]), (x[fold], y[fold])))
+        x_train = x[train_idx]
+        x_train.setflags(write=False)
+        folds.append((dist, (x_train, y[train_idx]), (x[fold], y[fold])))
     rng = np.random.default_rng(spec.seed)
 
     trials: list = []

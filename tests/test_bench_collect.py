@@ -64,6 +64,29 @@ def test_claim_rule_needs_nine_tenths_and_a_gap_beyond_the_parent_spread(tmp_pat
     assert wall["change_wins"] == 9 and wall["claim_rule_met"]
 
 
+def test_pair_ratio_quartiles_show_the_paired_spread(tmp_path):
+    """Parent values spread widely across seeds while each pair moves by
+    little, so the per-pair ratios are narrow; a zero parent value is left
+    out of the ratios, and the existing fields are unchanged by them."""
+    parent, change = str(tmp_path / "p"), str(tmp_path / "c")
+    for seed, (p, c) in enumerate([(1.0, 1.02), (2.0, 1.96), (3.0, 3.0), (4.0, 4.04), (5.0, 5.05)]):
+        write_run(parent, "p%d" % seed, "sweep", seed, p, f1=0.0 if seed == 0 else p / 10)
+        write_run(change, "c%d" % seed, "sweep", seed, c, f1=0.5 if seed == 0 else c / 10)
+    metrics = bench_collect.collect(bench_collect.load_runs(parent), bench_collect.load_runs(change),
+                                    METRICS)["workloads"]["sweep"]["metrics"]
+    wall = metrics["wall_s"]
+    assert wall["pair_ratio"] == {"q1": pytest.approx(1.0), "median": pytest.approx(1.01),
+                                  "q3": pytest.approx(1.01)}
+    assert wall["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert (wall["change_wins"], wall["ties"], wall["claim_rule_met"]) == (1, 1, False)
+    assert metrics["macro_f1_mean"]["pair_ratio"]["median"] == pytest.approx(1.005)  # four pairs, seed 0 left out
+    write_run(parent, "zero", "io", 0, 0.0)
+    write_run(change, "zero", "io", 0, 1.0)
+    io = bench_collect.collect(bench_collect.load_runs(parent), bench_collect.load_runs(change),
+                               METRICS)["workloads"]["io"]["metrics"]["wall_s"]
+    assert io["pair_ratio"] is None and io["median_change_frac"] == 0.0
+
+
 def test_no_common_run_is_an_error(tmp_path):
     write_run(str(tmp_path / "p"), "p", "sweep", 0, 1.0)
     with pytest.raises(ValueError, match="no workload and seed"):

@@ -167,6 +167,12 @@ class TestTrain:
         assert main(["train", "--csv", csv, "--schema", schema, "--family", "svm"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_misspelled_param_is_runtime_failure(self, dataset, capsys):
+        csv, schema = dataset
+        code = main(["train", "--csv", csv, "--schema", schema, "--family", "dt", "--params", '{"max_dept": 3}'])
+        assert code == 2
+        assert "unknown key 'max_dept' in the params of family 'dt'" in capsys.readouterr().err
+
     def test_degenerate_filter_is_runtime_failure(self, dataset, capsys):
         csv, schema = dataset
         code = main(["train", "--csv", csv, "--schema", schema, "--family", "dt",
@@ -245,6 +251,21 @@ class TestBenchAndStats:
         assert "unknown key 'n_run'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_rejects_a_misspelled_model_param(self, tmp_path, capsys):
+        config = {
+            "dataset": {"synth": {"n_samples": 300, "n_classes": 3, "n_features": 4,
+                                  "class_counts": [164, 82, 54], "seed": 0}},
+            "filter_thresholds": [1],
+            "families": ["dt"],
+            "model_params": {"dt": {"max_dept": 3}},
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "unknown key 'max_dept' in the params of family 'dt'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_renders_analysis(self, bench_artifacts, tmp_path, capsys):
         svg_path = str(tmp_path / "cd.svg")
         text_path = str(tmp_path / "cd.txt")
@@ -279,6 +300,13 @@ class TestHpo:
         assert log["best_params"]["max_depth"] == 5
         assert len(log["trials"]) == 4
         assert all(t["params"]["max_depth"] == 5 for t in log["trials"])
+
+    def test_misspelled_override_is_runtime_failure(self, dataset, capsys):
+        csv, schema = dataset
+        code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt", "--trials", "2", "--folds", "2",
+                     "--overrides", '{"max_dept": 3}'])
+        assert code == 2
+        assert "unknown key 'max_dept' in the params of family 'dt'" in capsys.readouterr().err
 
 
 class TestUsageErrors:

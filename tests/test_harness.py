@@ -49,7 +49,7 @@ from imbench import (
     write_results_json,
     write_summary,
 )
-from imbench import harness, trees
+from imbench import harness, hpo, trees
 from imbench.hpo import HpoResult
 from tests.conftest import make_blobs
 
@@ -320,6 +320,31 @@ class TestExperimentConfig:
         monkeypatch.setattr(harness, "run_block", None)  # a block run would fail with TypeError
         with pytest.raises(ValueError, match=message):
             run_sweep(small_config(**setting))
+
+    def test_misspelled_model_param_raises_before_any_fit(self, monkeypatch):
+        """A ``model_params`` key the family's defaults do not name stops the
+        sweep with a ValueError; no block runs, so none becomes a failed row."""
+        fits = []
+        fit = hpo.fit_family
+        monkeypatch.setattr(hpo, "fit_family", lambda family, *args, **kwargs: fits.append(family)
+                            or fit(family, *args, **kwargs))
+        config = small_config(families=("gbt", "dt"), model_params={"dt": {"max_dept": 3}})
+        with pytest.raises(ValueError, match="unknown key 'max_dept' in the params of family 'dt'"):
+            run_sweep(config)
+        assert fits == []
+
+    def test_override_unknown_to_a_later_family_raises_before_any_search(self, monkeypatch):
+        """``hpo.overrides`` is checked against every tuned family before the
+        first search, so a key only the first family knows runs no search."""
+        searches = []
+        search = harness.hpo_random_search
+        monkeypatch.setattr(harness, "hpo_random_search", lambda family, *args, **kwargs: searches.append(family)
+                            or search(family, *args, **kwargs))
+        config = small_config(families=("rf", "dt"),
+                              hpo=HpoSpec(n_trials=2, cv_folds=2, overrides={"n_estimators": 2}))
+        with pytest.raises(ValueError, match="unknown key 'n_estimators' in the params of family 'dt'"):
+            run_sweep(config)
+        assert searches == []
 
     def test_readme_config_loads(self, tmp_path):
         """The experiment config documented in README.md is one the loader accepts."""

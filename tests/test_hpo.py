@@ -1,5 +1,8 @@
 """Random-search HPO: search spaces, CV folds, pruning, and the optimizer."""
 
+import gc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,13 +14,16 @@ from imbench import (
     TreeParams,
     TrialRecord,
     alias_family,
+    family_params,
     fit_family,
+    get_family,
     hidden_dim_bounds,
     hpo_random_search,
     register_family,
     sample_params,
     stratified_kfold,
 )
+from imbench import hpo, trees
 from tests.conftest import make_blobs
 
 
@@ -88,6 +94,49 @@ class TestSampleParams:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
             sample_params("svm", np.random.default_rng(0), 10)
+
+
+# the literal defaults the built-ins were registered with before they came from their params types
+LITERAL_DEFAULTS = {
+    "dt": {"max_depth": 12},
+    "rf": {"n_estimators": 100, "max_depth": 12},
+    "gbt": {"n_estimators": 200, "learning_rate": 0.1, "max_depth": 3},
+    "tabresnet": {"hidden_dim": 32, "n_blocks": 2, "dropout": 0.1, "learning_rate": 1e-3, "weight_decay": 1e-4,
+                  "batch_size": 128, "max_epochs": 200},
+}
+DATA_GIVEN = dict(n_features=10, n_classes=3, seed=0)
+
+
+class TestDefaultParams:
+    """Each built-in's ``default_params`` names every parameter it takes."""
+
+    @pytest.mark.parametrize("family, params_type", [("dt", TreeParams), ("rf", ForestParams), ("gbt", GbtParams)])
+    def test_tree_defaults_are_their_params_type(self, family, params_type):
+        defaults = get_family(family).default_params
+        assert params_type(**defaults) == params_type(**LITERAL_DEFAULTS[family])
+        assert set(defaults) == {f.name for f in fields(params_type)}
+
+    def test_tabresnet_defaults_are_its_config_less_what_the_data_gives(self):
+        defaults = get_family("tabresnet").default_params
+        assert ResNetConfig(**DATA_GIVEN, **defaults) == ResNetConfig(**DATA_GIVEN, **LITERAL_DEFAULTS["tabresnet"])
+        assert set(defaults) == {f.name for f in fields(ResNetConfig)} - set(DATA_GIVEN)
+
+    @pytest.mark.parametrize("family", sorted(LITERAL_DEFAULTS))
+    def test_search_space_draws_only_default_keys(self, family):
+        rng = np.random.default_rng(7)
+        names = set(get_family(family).default_params)
+        for _ in range(200):
+            assert set(sample_params(family, rng, DATA_GIVEN["n_features"])) <= names
+
+    def test_family_params_merges_over_the_defaults_and_names_an_unknown_key(self):
+        assert family_params("dt", {"max_depth": 3}) == {**get_family("dt").default_params, "max_depth": 3}
+        assert family_params("gbt") == get_family("gbt").default_params
+        with pytest.raises(ValueError, match="unknown key 'max_dept' in the params of family 'dt'"):
+            family_params("dt", {"max_depth": 3, "max_dept": 3})
+        register_family("fixed", lambda *args, **kwargs: None, {})
+        assert family_params("fixed", {}) == {}
+        with pytest.raises(ValueError, match="unknown key 'depth' in the params of family 'fixed'"):
+            family_params("fixed", {"depth": 3})
 
 
 class TestStratifiedKfold:
@@ -247,6 +296,41 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="a class is missing from one CV training fold"):
             hpo_random_search("counting", x, y, spec=HpoSpec(n_trials=2, cv_folds=2), n_classes=3)
         assert fits == []
+
+    def test_misspelled_override_fails_before_any_fit(self, monkeypatch):
+        fits = []
+        fit = hpo.fit_family
+        monkeypatch.setattr(hpo, "fit_family", lambda family, *args, **kwargs: fits.append(family)
+                            or fit(family, *args, **kwargs))
+        x, y = parity_dataset(copies=4)
+        with pytest.raises(ValueError, match="unknown key 'max_dept' in the params of family 'dt'"):
+            hpo_random_search("dt", x, y, spec=HpoSpec(n_trials=2, cv_folds=2, overrides={"max_dept": 3}))
+        assert fits == []
+
+    def test_each_fold_table_is_presorted_once_for_every_trial(self, monkeypatch):
+        """The fold training tables are read-only, so each is presorted once
+        and its lists serve every trial; the trials are those of fits that
+        each sort afresh, and no presort outlives the search.  The spy keeps
+        shapes, not tables: holding a table would keep its lists alive."""
+        data = make_blobs(600, 3, 6, 1.5, seed=5)
+        spec = HpoSpec(n_trials=8, cv_folds=4, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(trees, "_table_lists", trees._presort)  # every fit sorts for itself
+            fresh = hpo_random_search("dt", data.features, data.labels, spec=spec)
+        presorted = []
+        presort = trees._presort
+        monkeypatch.setattr(trees, "_presort", lambda x: presorted.append(x.shape) or presort(x))
+        gc.collect()  # free what earlier tests left in reference cycles, so the rest stays alive
+        kept_before = set(trees._kept_lists)
+        shared = hpo_random_search("dt", data.features, data.labels, spec=spec)
+        gc.collect()
+        assert presorted == [(450, 6)] * 4
+        assert set(trees._kept_lists) <= kept_before
+        assert sum(len(t.fold_scores) for t in shared.trials) > 4
+        assert [(t.params, t.fold_scores, t.status) for t in shared.trials] == [
+            (t.params, t.fold_scores, t.status) for t in fresh.trials
+        ]
+        assert (shared.best_params, shared.best_score) == (fresh.best_params, fresh.best_score)
 
     def test_scores_are_valid_f1_values(self):
         data = make_blobs(150, 3, 4, 2.0, seed=2)

@@ -10,10 +10,14 @@
 its newest record).  For each workload and each end-to-end metric of
 ``BENCHMARK.json`` the output gives both sides' median and quartiles over
 the paired runs, the relative change of the median, and how many pairs the
-change won, ties counting for neither.  ``claim_rule_met`` applies the
-benchmark's rule for claiming a gain: at least nine tenths of the pairs won
-and a median gap wider than the parent's interquartile range.  The file is a
-record of measurements; nothing reads it as a pass/fail gate.
+change won, ties counting for neither.  ``pair_ratio`` gives the quartiles
+of the per-pair change/parent ratio, over the pairs whose parent value is
+not zero: the two runs of a pair share a seed and so its data, so this
+spread can be narrower than either side's spread across seeds.
+``claim_rule_met`` applies the benchmark's rule for claiming a gain: at
+least nine tenths of the pairs won and a median gap wider than the
+parent's interquartile range.  The file is a record of measurements;
+nothing reads it as a pass/fail gate.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ def compare(pairs, metrics) -> dict:
         ps, cs = quartiles(parent), quartiles(change)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         gap = cs["median"] - ps["median"]
+        ratios = [c / p for p, c in zip(parent, change) if p]
         result["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -83,6 +88,7 @@ def compare(pairs, metrics) -> dict:
             "median_change_frac": gap / ps["median"] if ps["median"] else 0.0,
             "change_wins": wins,
             "ties": sum(c == p for p, c in zip(parent, change)),
+            "pair_ratio": quartiles(ratios) if ratios else None,
             "claim_rule_met": wins >= 0.9 * len(pairs) and sign * gap < 0 and abs(gap) > ps["q3"] - ps["q1"],
         }
     return result
