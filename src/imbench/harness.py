@@ -97,6 +97,9 @@ class ExperimentConfig:
         object.__setattr__(self, "strategies", _once(self.strategies, "strategies"))
         object.__setattr__(self, "families", _once(self.families, "families"))
         _known(self.model_params, self.families, "model_params, which may name only the families %s" % (self.families,))
+        if self.hpo is not None and self.hpo.overrides:
+            raise ValueError("a sweep takes no hpo.overrides: fix a family's params in model_params.<family>, "
+                             "which hold in every fit of that family, HPO folds included")
         object.__setattr__(self, "fractions", check_fractions(self.fractions))
 
     @property
@@ -283,18 +286,14 @@ class SummaryRow:
 
 
 def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
-    """Per-(family, threshold) params: ``family_params`` of the config's,
-    then HPO winners when ``config.hpo`` is set, whose overrides every
-    family must take.  Each search runs on the training split of the
-    threshold's first-seed slice, the one its blocks use; a slice that
-    would be skipped raises."""
-    out = {}
-    for family in config.families:
-        base = family_params(family, config.model_params.get(family))
-        if config.hpo is not None:
-            family_params(family, config.hpo.overrides)
-        for threshold in config.filter_thresholds:
-            out[(family, threshold)] = dict(base)
+    """Per-(family, threshold) params: the registry defaults, then the HPO
+    winner's sampled values when ``config.hpo`` is set, then the family's
+    ``model_params``, which each search holds fixed in every fold fit and
+    so tunes only the keys they leave open.  Each search runs on the
+    training split of the threshold's first-seed slice, the one its blocks
+    use; a slice that would be skipped raises."""
+    out = {(family, threshold): family_params(family, config.model_params.get(family))
+           for family in config.families for threshold in config.filter_thresholds}
     if config.hpo is None:
         return out
     thresholds = config.filter_thresholds if config.hpo_per_threshold else config.filter_thresholds[:1]
@@ -304,7 +303,8 @@ def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
             if isinstance(prepared, str):
                 raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared))
             dist, _, train, _, _ = prepared
-            result = hpo_random_search(family, train.features, train.labels, spec=config.hpo,
+            spec = replace(config.hpo, overrides=config.model_params.get(family, {}))
+            result = hpo_random_search(family, train.features, train.labels, spec=spec,
                                        strategy=config.hpo_strategy, beta=config.beta, n_classes=dist.n_classes)
             for t in ([threshold] if config.hpo_per_threshold else config.filter_thresholds):
                 out[(family, t)] = {**out[(family, t)], **result.best_params}

@@ -227,7 +227,7 @@ class HpoSpec:
     n_trials: int = 25
     cv_folds: int = 5
     seed: int = 42
-    # fields fixed after sampling, e.g. {"max_epochs": 40} for tabresnet
+    # fields fixed after sampling, e.g. {"max_epochs": 40} for tabresnet; a sweep sets a family's model_params here
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -293,8 +293,9 @@ def hpo_random_search(
     split, which tabresnet's early stopping uses, matching the
     validation-F1 objective.  Each fold's training rows and class
     distribution are built once per search, read-only so that its trials
-    share one presort, and a fold whose training portion misses a class, or
-    an override the family does not take, is an error before the first fit.
+    share one presort.  Labels other than the class ids ``0..n_classes-1``,
+    or an override the family does not take, are an error before the first
+    fit; with every id present, each training fold has every class.
     """
     spec = spec or HpoSpec()
     family_params(family, spec.overrides)
@@ -302,39 +303,34 @@ def hpo_random_search(
     y = np.asarray(y, dtype=np.int64)
     if n_classes is None:
         n_classes = int(y.max()) + 1
+    ids, expected = set(np.unique(y).tolist()), set(range(n_classes))
+    if ids != expected:
+        raise ValueError("labels must take every class id 0..%d: missing %s, out of range %s"
+                         % (n_classes - 1, sorted(expected - ids), sorted(ids - expected)))
     all_idx = np.arange(y.size)
     folds = []  # (training class distribution, training rows, held-out rows) per fold
     for fold in stratified_kfold(y, spec.cv_folds, spec.seed):
         train_idx = np.setdiff1d(all_idx, fold, assume_unique=True)
-        dist = class_frequencies(y[train_idx])
-        if dist.n_classes != n_classes:
-            raise ValueError("a class is missing from one CV training fold; use fewer folds")
         x_train = x[train_idx]
         x_train.setflags(write=False)
-        folds.append((dist, (x_train, y[train_idx]), (x[fold], y[fold])))
+        folds.append((class_frequencies(y[train_idx]), (x_train, y[train_idx]), (x[fold], y[fold])))
     rng = np.random.default_rng(spec.seed)
 
     trials: list = []
-    # running fold-means of completed trials, keyed by fold count
-    completed_running: dict = {f: [] for f in range(spec.cv_folds)}
     for t in range(spec.n_trials):
         params = sample_params(family, rng, x.shape[1])
         params.update(spec.overrides)
         scores: list = []
-        pruned = False
+        status = "completed"
         for f, (dist, train, held_out) in enumerate(folds):
             cm = _fit_and_score(family, params, dist, strategy, beta, spec.seed, train, held_out, held_out)[2]
             scores.append(f1_scores(cm).weighted)
-            running = float(np.mean(scores))
-            is_last = f == spec.cv_folds - 1
-            if not is_last and completed_running[f] and running < float(np.median(completed_running[f])):
-                pruned = True
+            # the running means of the completed trials at this fold count
+            peers = [float(np.mean(r.fold_scores[:f + 1])) for r in trials if r.status == "completed"]
+            if f < spec.cv_folds - 1 and peers and float(np.mean(scores)) < float(np.median(peers)):
+                status = "pruned"
                 break
-        trials.append(TrialRecord(index=t, params=params, fold_scores=scores,
-                                  status="pruned" if pruned else "completed"))
-        if not pruned:
-            for f in range(spec.cv_folds):
-                completed_running[f].append(float(np.mean(scores[: f + 1])))
+        trials.append(TrialRecord(index=t, params=params, fold_scores=scores, status=status))
     # the first trial is never pruned, and max keeps the lowest index on a tie
     best = max((r for r in trials if r.status == "completed"), key=lambda r: r.mean_score)
     return HpoResult(family=family, best_params=dict(best.params), best_score=best.mean_score, best_trial=best.index,

@@ -87,6 +87,29 @@ def test_pair_ratio_quartiles_show_the_paired_spread(tmp_path):
     assert io["pair_ratio"] is None and io["median_change_frac"] == 0.0
 
 
+@pytest.mark.parametrize("parent_walls, change_walls, f1s, wall_verdict, f1_verdict", [
+    ([1.0, 1.01, 1.02, 1.03, 1.04], [1.1, 1.11, 1.12, 1.13, 1.14], (0.5, 0.45), "ok", "ok"),
+    ([1.0, 1.01, 1.02, 1.03, 1.04], [1.3, 1.31, 1.32, 1.33, 1.34], (0.5, 0.35), "worse", "worse"),
+    # the parent's interquartile range (1.0) is more than 0.25 times its median (2.0)
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [1.0, 1.5, 2.0, 2.5, 3.0], (0.5, 0.5), "unresolved", "ok"),
+    # ... unless every change run beats every parent run
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.6, 0.7, 0.8, 0.9], (0.5, 0.6), "ok", "ok"),
+    ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.6, 0.7, 0.8, 1.2], (0.5, 0.6), "unresolved", "ok"),
+])
+def test_verdict_applies_the_no_regression_rule(tmp_path, parent_walls, change_walls, f1s, wall_verdict, f1_verdict):
+    """``worse`` when the median moves the wrong way by more than the bound
+    (0.25 for wall time, 0.2 for F1, where higher is better), ``unresolved``
+    when the parent's own spread is wider than the bound and the change
+    does not beat every parent run, else ``ok``."""
+    parent, change = str(tmp_path / "p"), str(tmp_path / "c")
+    for seed, (p, c) in enumerate(zip(parent_walls, change_walls)):
+        write_run(parent, "p%d" % seed, "sweep", seed, p, f1=f1s[0])
+        write_run(change, "c%d" % seed, "sweep", seed, c, f1=f1s[1])
+    metrics = bench_collect.collect(bench_collect.load_runs(parent), bench_collect.load_runs(change),
+                                    METRICS)["workloads"]["sweep"]["metrics"]
+    assert (metrics["wall_s"]["verdict"], metrics["macro_f1_mean"]["verdict"]) == (wall_verdict, f1_verdict)
+
+
 def test_no_common_run_is_an_error(tmp_path):
     write_run(str(tmp_path / "p"), "p", "sweep", 0, 1.0)
     with pytest.raises(ValueError, match="no workload and seed"):

@@ -50,6 +50,7 @@ from imbench import (
     write_summary,
 )
 from imbench import harness, hpo, trees
+from imbench.cli import main
 from imbench.hpo import HpoResult
 from tests.conftest import make_blobs
 
@@ -333,18 +334,29 @@ class TestExperimentConfig:
             run_sweep(config)
         assert fits == []
 
-    def test_override_unknown_to_a_later_family_raises_before_any_search(self, monkeypatch):
-        """``hpo.overrides`` is checked against every tuned family before the
-        first search, so a key only the first family knows runs no search."""
+    def test_hpo_overrides_are_rejected_before_any_search(self, monkeypatch, tmp_path, capsys):
+        """A sweep's fixed params are its ``model_params``: a non-empty
+        ``hpo.overrides`` is a ValueError that points there, from code and
+        from a config file, and ``imbench bench`` exits 2 with no results
+        file; no search runs."""
         searches = []
-        search = harness.hpo_random_search
-        monkeypatch.setattr(harness, "hpo_random_search", lambda family, *args, **kwargs: searches.append(family)
-                            or search(family, *args, **kwargs))
-        config = small_config(families=("rf", "dt"),
-                              hpo=HpoSpec(n_trials=2, cv_folds=2, overrides={"n_estimators": 2}))
-        with pytest.raises(ValueError, match="unknown key 'n_estimators' in the params of family 'dt'"):
-            run_sweep(config)
-        assert searches == []
+        monkeypatch.setattr(harness, "hpo_random_search", lambda family, *args, **kwargs: searches.append(family))
+        message = "a sweep takes no hpo.overrides: fix a family's params in model_params.<family>"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            small_config(hpo=HpoSpec(n_trials=2, cv_folds=2, overrides={"max_depth": 2}))
+        assert small_config(hpo=HpoSpec(n_trials=2, cv_folds=2)).hpo.overrides == {}
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"dataset": {"synth": {"n_samples": 300, "n_classes": 3, "n_features": 4,
+                                                       "class_counts": [164, 82, 54], "seed": 0}},
+                                 "filter_thresholds": [1], "families": ["dt"],
+                                 "hpo": {"enabled": True, "overrides": {"max_depth": 2}}}),
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_experiment_config(p)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and searches == []
 
     def test_readme_config_loads(self, tmp_path):
         """The experiment config documented in README.md is one the loader accepts."""
@@ -701,6 +713,27 @@ class TestRunSweep:
             source = trains[threshold if per_threshold else 1].n_samples
             tags = sorted(tag for n, tag in fits if n == n_train)
             assert tags == ["rec_a@%d" % source] * 4 + ["rec_b@%d" % source] * 4
+
+    def test_model_params_hold_in_every_fold_fit_and_every_block(self, monkeypatch):
+        """A family's ``model_params`` are fixed in each HPO fold fit and in
+        each block, and the search tunes only the keys they leave open: a
+        block fits the registry defaults updated with the winning trial's
+        params, which carry the fixed values."""
+        fits, searches = [], []
+        fit, search = hpo.fit_family, harness.hpo_random_search
+        monkeypatch.setattr(hpo, "fit_family", lambda family, x, y, weights, params, *args, **kwargs:
+                            fits.append(dict(params)) or fit(family, x, y, weights, params, *args, **kwargs))
+        monkeypatch.setattr(harness, "hpo_random_search", lambda *args, **kwargs:
+                            searches.append(search(*args, **kwargs)) or searches[-1])
+        config = small_config(families=("rf",), n_runs=2, model_params={"rf": {"bootstrap": False, "n_estimators": 2}},
+                              hpo=HpoSpec(n_trials=3, cv_folds=2, seed=0))
+        results, _ = run_sweep(config)
+        (result,) = searches
+        n_fold_fits = sum(len(t.fold_scores) for t in result.trials)
+        assert len(fits) == n_fold_fits + 2 and all(r.status == "ok" for r in results)
+        assert all(params.get("bootstrap") is False and params["n_estimators"] == 2 for params in fits)
+        winner = {**get_family("rf").default_params, **result.trials[result.best_trial].params}
+        assert fits[n_fold_fits:] == [winner, winner]
 
     def test_hpo_on_a_skipped_slice_names_family_and_threshold(self):
         config = small_config(filter_thresholds=(200,), hpo=HpoSpec(n_trials=2, cv_folds=2))

@@ -1,6 +1,9 @@
 """Random-search HPO: search spaces, CV folds, pruning, and the optimizer."""
 
 import gc
+import hashlib
+import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -282,10 +285,10 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="'fixed' has no search_space"):
             hpo_random_search("fixed", x, y, spec=HpoSpec(n_trials=2, cv_folds=2))
 
-    def test_a_class_missing_from_the_training_folds_fails_before_any_fit(self):
-        """Each fold's training rows and class counts are built once, before
-        the first trial, so a class no fold trains on stops the search
-        before any fit."""
+    def test_labels_that_are_not_the_class_ids_fail_before_any_fit(self):
+        """Labels must take every class id ``0..n_classes-1``; the error names
+        the ids missing or out of range, before any fit.  Fewer folds would
+        not help, so the message does not suggest them."""
         x, y = parity_dataset(copies=4)
         fits = []
 
@@ -293,8 +296,13 @@ class TestRandomSearch:
             fits.append(len(y))
 
         register_family("counting", counting_fit, {}, search_space=lambda rng, n_features: {})
-        with pytest.raises(ValueError, match="a class is missing from one CV training fold"):
-            hpo_random_search("counting", x, y, spec=HpoSpec(n_trials=2, cv_folds=2), n_classes=3)
+        for labels, n_classes, message in [
+            (y * 2, None, "every class id 0..2: missing [1], out of range []"),
+            (y, 3, "every class id 0..2: missing [2], out of range []"),
+            (y + 1, 2, "every class id 0..1: missing [0], out of range [2]"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                hpo_random_search("counting", x, labels, spec=HpoSpec(n_trials=2, cv_folds=2), n_classes=n_classes)
         assert fits == []
 
     def test_misspelled_override_fails_before_any_fit(self, monkeypatch):
@@ -358,3 +366,31 @@ class TestRandomSearch:
             if res.best_params["max_depth"] >= 3:
                 wins += 1
         assert wins >= 18
+
+
+def search_digest(result) -> str:
+    """sha256 of a search's trial records (index, status, fold scores,
+    params) and its winner; ``json`` writes each float by its shortest
+    round-trip repr, so equal digests mean bitwise-equal records."""
+    records = [[t.index, t.status, [float(s) for s in t.fold_scores], t.params] for t in result.trials]
+    return hashlib.sha256(json.dumps([records, [result.best_trial, result.best_score, result.best_params]],
+                                     sort_keys=True).encode()).hexdigest()
+
+
+class TestSearchOracle:
+    """Two small searches, each with pruned trials, pinned by the digest of
+    their trial records and winner: a change to the search that should keep
+    its results (the pruning rule, the fold set-up, the fit protocol) keeps
+    these bitwise."""
+
+    @pytest.mark.parametrize("family, n_samples, spec, digest", [
+        ("dt", 240, HpoSpec(n_trials=10, cv_folds=4, seed=2),
+         "bceed4f4804574e353a2284ad573da88eda7bde5254d860a98106c200cfa75af"),
+        ("tabresnet", 180, HpoSpec(n_trials=6, cv_folds=3, seed=2, overrides={"max_epochs": 2}),
+         "bc3250d5b2ef5b98911c3eaa12349906233a570a0f4d1f30562a059a19d40ba5"),
+    ])
+    def test_trial_records_are_pinned(self, family, n_samples, spec, digest):
+        data = make_blobs(n_samples, 3, 4, 1.5, seed=8)
+        result = hpo_random_search(family, data.features, data.labels, spec=spec)
+        assert "pruned" in [t.status for t in result.trials]
+        assert search_digest(result) == digest

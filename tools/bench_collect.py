@@ -16,8 +16,12 @@ not zero: the two runs of a pair share a seed and so its data, so this
 spread can be narrower than either side's spread across seeds.
 ``claim_rule_met`` applies the benchmark's rule for claiming a gain: at
 least nine tenths of the pairs won and a median gap wider than the
-parent's interquartile range.  The file is a record of measurements;
-nothing reads it as a pass/fail gate.
+parent's interquartile range.  ``verdict`` applies its no-regression rule:
+``unresolved`` when the parent's interquartile range is more than the
+bound times its median, unless every change run beats every parent run;
+else ``worse`` when the median moved the wrong way by more than the bound;
+else ``ok``.  The file is a record of measurements; nothing reads it as a
+pass/fail gate.
 """
 
 from __future__ import annotations
@@ -78,18 +82,25 @@ def compare(pairs, metrics) -> dict:
         ps, cs = quartiles(parent), quartiles(change)
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         gap = cs["median"] - ps["median"]
+        change_frac = gap / ps["median"] if ps["median"] else 0.0
         ratios = [c / p for p, c in zip(parent, change) if p]
+        beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+        if ps["q3"] - ps["q1"] > metric["bound"] * abs(ps["median"]) and not beats_all:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if sign * change_frac > metric["bound"] else "ok"
         result["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
             "parent": ps,
             "change": cs,
-            "median_change_frac": gap / ps["median"] if ps["median"] else 0.0,
+            "median_change_frac": change_frac,
             "change_wins": wins,
             "ties": sum(c == p for p, c in zip(parent, change)),
             "pair_ratio": quartiles(ratios) if ratios else None,
             "claim_rule_met": wins >= 0.9 * len(pairs) and sign * gap < 0 and abs(gap) > ps["q3"] - ps["q1"],
+            "verdict": verdict,
         }
     return result
 
@@ -132,9 +143,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, w in bench["workloads"].items():
         for name, m in w["metrics"].items():
-            print("%-14s %-17s %10.4g -> %10.4g  %+6.1f%%  won %d/%d" % (
+            print("%-14s %-17s %10.4g -> %10.4g  %+6.1f%%  won %d/%d  %s" % (
                 workload, name, m["parent"]["median"], m["change"]["median"],
-                100.0 * m["median_change_frac"], m["change_wins"], w["pairs"]))
+                100.0 * m["median_change_frac"], m["change_wins"], w["pairs"], m["verdict"]))
     return 0
 
 
