@@ -27,9 +27,9 @@ spec = HpoSpec(
     # pin the expensive knobs so the demo stays quick; everything else
     # (learning rate, depth, subsampling, regularization) is searched
     overrides={"n_estimators": 20},
+    strategy="inverse",  # the class weighting of every fold fit
 )
-result = hpo_random_search("gbt", train.features, train.labels, spec=spec,
-                           strategy="inverse", n_classes=data.n_classes)
+result = hpo_random_search("gbt", train.features, train.labels, spec=spec, n_classes=data.n_classes)
 
 print("%6s  %-9s  %7s  %s" % ("trial", "status", "mean", "fold scores"))
 for t in result.trials:

@@ -201,11 +201,9 @@ def _cmd_hpo(args) -> int:
         cv_folds=args.folds,
         seed=args.seed,
         overrides=json.loads(args.overrides) if args.overrides else {},
+        strategy=args.weighting,
     )
-    result = hpo_random_search(
-        args.family, train.features, train.labels,
-        spec=spec, strategy=args.weighting, n_classes=data.n_classes,
-    )
+    result = hpo_random_search(args.family, train.features, train.labels, spec=spec, n_classes=data.n_classes)
     print("best trial:  %d" % result.best_trial)
     print("best score:  %.6f (mean weighted F1 over %d folds)" % (result.best_score, args.folds))
     print("best params: %s" % json.dumps(result.best_params))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,27 +84,29 @@ class ColumnSchema:
         return tuple(c for c in self.columns if c.role == "feature")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"columns": [{"name": c.name, "role": c.role, "kind": c.kind} for c in self.columns]},
-            indent=2,
-        )
+        return json.dumps({"columns": [asdict(c) for c in self.columns]}, indent=2)
+
+
+def _known(obj: dict, allowed, where: str) -> dict:
+    """``obj``, or a ValueError naming its first key not in ``allowed``."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError("unknown key %r in %s" % (unknown[0], where))
+    return obj
 
 
 def load_schema(path) -> ColumnSchema:
-    """Read a schema from its JSON file form (see README for the format)."""
+    """Read a schema from its JSON file form (see README for the format); an
+    unknown key, at the top level or in a column, is a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or "columns" not in obj:
         raise ValueError("schema file must be a JSON object with a 'columns' list")
+    _known(obj, ("columns",), "the schema")
     cols = []
     for entry in obj["columns"]:
-        cols.append(
-            ColumnSpec(
-                name=entry["name"],
-                role=entry.get("role", "feature"),
-                kind=entry.get("kind", "continuous"),
-            )
-        )
+        _known(entry, ColumnSpec.__dataclass_fields__, "schema column %r" % entry.get("name"))
+        cols.append(ColumnSpec(**{"role": "feature", **entry}))
     return ColumnSchema(tuple(cols))
 
 

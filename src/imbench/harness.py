@@ -23,10 +23,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import (DEFAULT_FRACTIONS, Dataset, check_fractions, filter_min_class_count, load_csv, load_schema,
-                   preprocess, stratified_split)
+from .data import (DEFAULT_FRACTIONS, Dataset, _known, check_fractions, filter_min_class_count, load_csv,
+                   load_schema, preprocess, stratified_split)
 from .evaluation import accuracy, f1_scores
-from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, _known, family_params, get_family,
+from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, family_params, get_family,
                   hpo_random_search)
 from .imbalance import class_frequencies, imbalance_report
 from .ranking import BlockMatrix
@@ -66,8 +66,6 @@ class ExperimentConfig:
     beta: float = DEFAULT_BETA
     model_params: dict = field(default_factory=dict)
     hpo: HpoSpec | None = None                # None -> no tuning
-    hpo_per_threshold: bool = False
-    hpo_strategy: str = "none"
     workers: int = 1
 
     def __post_init__(self):
@@ -77,7 +75,7 @@ class ExperimentConfig:
         if has_csv and self.schema_path is None:
             raise ValueError("csv datasets need a schema_path")
         if self.filter_thresholds is not None:
-            thresholds = tuple(int(t) for t in self.filter_thresholds)
+            thresholds = tuple(_integer(t, "filter_thresholds") for t in self.filter_thresholds)
             if not thresholds or any(t < 1 for t in thresholds):
                 raise ValueError("filter_thresholds must be >= 1")
             if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
@@ -85,10 +83,10 @@ class ExperimentConfig:
             object.__setattr__(self, "filter_thresholds", thresholds)
         if not self.strategies or any(s not in STRATEGIES for s in self.strategies):
             raise ValueError("strategies must be drawn from %s" % (STRATEGIES,))
-        if self.hpo_strategy not in STRATEGIES:
-            raise ValueError("hpo_strategy must be one of %s, got %r" % (STRATEGIES, self.hpo_strategy))
         if not self.families:
             raise ValueError("at least one model family required")
+        for name in ("n_runs", "base_seed", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         if self.workers < 1:
@@ -109,6 +107,14 @@ class ExperimentConfig:
         return "label" if self.synth is not None else load_schema(self.schema_path).label_column
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, numpy integers included, or a ValueError naming the setting."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+
+
 def _once(values, where: str) -> tuple:
     """``values`` as a tuple, or a ValueError naming the first one repeated
     (a repeat would run its blocks twice and count each seed twice)."""
@@ -119,11 +125,10 @@ def _once(values, where: str) -> tuple:
     return values
 
 
-# JSON keys under "dataset" and "hpo" that name an ExperimentConfig field
-_RENAMED = {"csv": "csv_path", "schema": "schema_path",
-            "per_threshold": "hpo_per_threshold", "strategy": "hpo_strategy"}
+# JSON keys under "dataset" that name an ExperimentConfig field
+_RENAMED = {"csv": "csv_path", "schema": "schema_path"}
 # the fields a config file sets at its top level
-_TOP_LEVEL = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f not in {*_RENAMED.values(), "synth", "hpo"})
+_TOP_LEVEL = tuple(f for f in ExperimentConfig.__dataclass_fields__ if f not in {*_RENAMED.values(), "synth"})
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -131,20 +136,18 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     Keys map straight onto the fields of ``ExperimentConfig``, ``SynthConfig``
     and ``HpoSpec``, which hold every default; an unknown key at any level
-    is a ValueError that names it.  ``"hpo": {"enabled": true}`` turns
-    tuning on.
+    is a ValueError that names it.  An ``hpo`` section, even ``{}``, turns
+    tuning on; without one ``config.hpo`` is None.
     """
     with open(path, "r", encoding="utf-8") as fh:
         kwargs = json.load(fh)
-    dataset = _known(kwargs.pop("dataset", {}), ("csv", "schema", "synth"), "dataset")
-    hpo = _known(kwargs.pop("hpo", {}), ("enabled", "per_threshold", "strategy", *HpoSpec.__dataclass_fields__), "hpo")
+    dataset = _known(kwargs.pop("dataset", {}), (*_RENAMED, "synth"), "dataset")
     _known(kwargs, _TOP_LEVEL, "the experiment config")
     if "synth" in dataset:
         kwargs["synth"] = SynthConfig(**_known(dataset.pop("synth"), SynthConfig.__dataclass_fields__, "dataset.synth"))
-    kwargs.update((_RENAMED[key], section.pop(key)) for section in (dataset, hpo) for key in list(section)
-                  if key in _RENAMED)
-    if hpo.pop("enabled", None):
-        kwargs["hpo"] = HpoSpec(**hpo)
+    kwargs.update((_RENAMED[key], value) for key, value in dataset.items())
+    if "hpo" in kwargs:
+        kwargs["hpo"] = HpoSpec(**_known(kwargs["hpo"], HpoSpec.__dataclass_fields__, "hpo"))
     return ExperimentConfig(**kwargs)
 
 
@@ -296,7 +299,7 @@ def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
            for family in config.families for threshold in config.filter_thresholds}
     if config.hpo is None:
         return out
-    thresholds = config.filter_thresholds if config.hpo_per_threshold else config.filter_thresholds[:1]
+    thresholds = config.filter_thresholds if config.hpo.per_threshold else config.filter_thresholds[:1]
     for threshold in thresholds:
         prepared = _slice(data, threshold, config.base_seed, config.fractions)
         for family in config.families:
@@ -304,9 +307,9 @@ def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
                 raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared))
             dist, _, train, _, _ = prepared
             spec = replace(config.hpo, overrides=config.model_params.get(family, {}))
-            result = hpo_random_search(family, train.features, train.labels, spec=spec,
-                                       strategy=config.hpo_strategy, beta=config.beta, n_classes=dist.n_classes)
-            for t in ([threshold] if config.hpo_per_threshold else config.filter_thresholds):
+            result = hpo_random_search(family, train.features, train.labels, spec=spec, beta=config.beta,
+                                       n_classes=dist.n_classes)
+            for t in ([threshold] if config.hpo.per_threshold else config.filter_thresholds):
                 out[(family, t)] = {**out[(family, t)], **result.best_params}
     return out
 
@@ -469,7 +472,9 @@ def read_results(path) -> list:
     n_fields = len(_RESULT_FIELDS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty results file: %s" % path)
         if tuple(header) != _RESULT_FIELDS:
             raise ValueError("unexpected results header in %s" % path)
         rows = []

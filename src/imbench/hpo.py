@@ -19,12 +19,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .data import _known
 from .evaluation import confusion_matrix, f1_scores
 from .imbalance import class_frequencies
 from .tabresnet import ResNetConfig, TabResNetModel, hidden_dim_bounds, nn_fit
 from .trees import (DecisionTreeModel, ForestParams, GbtParams, GradientBoostedModel, RandomForestModel, TreeParams,
                     dt_fit, gbt_fit, rf_fit)
-from .weighting import DEFAULT_BETA, compute_weights
+from .weighting import DEFAULT_BETA, STRATEGIES, compute_weights
 
 __all__ = ["FamilySpec", "DEFAULT_FAMILIES", "register_family", "alias_family", "unregister_family",
            "registered_families", "get_family", "family_params", "fit_family", "sample_params", "HpoSpec",
@@ -179,14 +180,6 @@ register_family("tabresnet", _fit_tabresnet,
 DEFAULT_FAMILIES = tuple(_REGISTRY)
 
 
-def _known(obj: dict, allowed, where: str) -> dict:
-    """``obj``, or a ValueError naming its first key not in ``allowed``."""
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ValueError("unknown key %r in %s" % (unknown[0], where))
-    return obj
-
-
 def family_params(family: str, params: dict | None = None) -> dict:
     """The family's ``default_params`` updated with ``params``, or a
     ValueError naming a key of ``params`` that the defaults do not name."""
@@ -229,12 +222,16 @@ class HpoSpec:
     seed: int = 42
     # fields fixed after sampling, e.g. {"max_epochs": 40} for tabresnet; a sweep sets a family's model_params here
     overrides: dict = field(default_factory=dict)
+    strategy: str = "none"        # the class weighting of every fold fit
+    per_threshold: bool = False   # in a sweep: one search per threshold, not one on the first
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
+        if self.strategy not in STRATEGIES:
+            raise ValueError("strategy must be one of %s, got %r" % (STRATEGIES, self.strategy))
 
 
 @dataclass
@@ -282,13 +279,12 @@ def hpo_random_search(
     x,
     y,
     spec: HpoSpec | None = None,
-    strategy: str = "none",
     beta: float = DEFAULT_BETA,
     n_classes: int | None = None,
 ) -> HpoResult:
     """Random-search HPO for one registered family with a search space.
 
-    Class weights follow ``strategy`` and are computed from each fold's
+    Class weights follow ``spec.strategy`` and are computed from each fold's
     training portion.  The held-out fold is also each fit's validation
     split, which tabresnet's early stopping uses, matching the
     validation-F1 objective.  Each fold's training rows and class
@@ -323,7 +319,7 @@ def hpo_random_search(
         scores: list = []
         status = "completed"
         for f, (dist, train, held_out) in enumerate(folds):
-            cm = _fit_and_score(family, params, dist, strategy, beta, spec.seed, train, held_out, held_out)[2]
+            cm = _fit_and_score(family, params, dist, spec.strategy, beta, spec.seed, train, held_out, held_out)[2]
             scores.append(f1_scores(cm).weighted)
             # the running means of the completed trials at this fold count
             peers = [float(np.mean(r.fold_scores[:f + 1])) for r in trials if r.status == "completed"]

@@ -284,6 +284,12 @@ class TestBenchAndStats:
         assert main(["stats", "--results", str(tmp_path / "nope.csv")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_stats_on_an_empty_results_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        assert main(["stats", "--results", str(path)]) == 2
+        assert "error: empty results file: %s" % path in capsys.readouterr().err
+
 
 class TestHpo:
     def test_search_with_overrides(self, dataset, tmp_path, capsys):

@@ -66,6 +66,19 @@ class TestSchema:
         assert schema.columns[0].role == "feature"
         assert schema.columns[0].kind == "continuous"
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"columns": [{"name": "a"}, {"name": "id", "rol": "ignore"}, {"name": "y", "role": "label"}]},
+         "unknown key 'rol' in schema column 'id'"),
+        ({"columns": [{"name": "a"}, {"name": "y", "role": "label"}], "label": "y"}, "unknown key 'label' in the schema"),
+    ])
+    def test_unknown_key_is_named(self, tmp_path, obj, message):
+        """A misspelled key would otherwise take its default: ``"rol"`` made
+        ``id`` a continuous feature."""
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_schema(p)
+
     def test_exactly_one_label_required(self):
         with pytest.raises(ValueError, match="label"):
             ColumnSchema((ColumnSpec("a", "feature"),))

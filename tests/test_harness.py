@@ -51,7 +51,8 @@ from imbench import (
 )
 from imbench import harness, hpo, trees
 from imbench.cli import main
-from imbench.hpo import HpoResult
+from imbench.hpo import DEFAULT_FAMILIES, HpoResult
+from imbench.weighting import STRATEGIES
 from tests.conftest import make_blobs
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -282,13 +283,11 @@ class TestExperimentConfig:
         p = tmp_path / "config.json"
         p.write_text(json.dumps({"dataset": {"synth": synth}}), encoding="utf-8")
         assert load_experiment_config(p) == ExperimentConfig(synth=SynthConfig(**synth))
-        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"enabled": True, "strategy": "median"}}),
+        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {}}), encoding="utf-8")
+        assert load_experiment_config(p).hpo == HpoSpec()
+        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"strategy": "median", "per_threshold": True}}),
                      encoding="utf-8")
-        config = load_experiment_config(p)
-        assert config.hpo == HpoSpec() and config.hpo_strategy == "median" and not config.hpo_per_threshold
-        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"enabled": False, "n_trials": 3}}),
-                     encoding="utf-8")
-        assert load_experiment_config(p).hpo is None
+        assert load_experiment_config(p).hpo == HpoSpec(strategy="median", per_threshold=True)
 
     @pytest.mark.parametrize("where, key", [
         ((), "n_run"),
@@ -301,7 +300,7 @@ class TestExperimentConfig:
     ])
     def test_unknown_key_is_named(self, tmp_path, where, key):
         obj = {"dataset": {"synth": {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}},
-               "hpo": {"enabled": True}, "families": ["dt", "rf"], "model_params": {"dt": {"max_depth": 3}}}
+               "hpo": {}, "families": ["dt", "rf"], "model_params": {"dt": {"max_depth": 3}}}
         section = obj
         for name in where:
             section = section[name]
@@ -315,12 +314,21 @@ class TestExperimentConfig:
         ({"fractions": (0.5, 0.5)}, "three positive numbers"),
         ({"fractions": (0.6, 0.3, 0.2)}, "sum to 1"),
         ({"beta": 1.0}, "beta must lie in"),
-        ({"hpo_strategy": "oversample"}, "hpo_strategy"),
+        ({"filter_thresholds": (2.7, 5)}, "filter_thresholds must be an integer, got 2.7"),
+        ({"n_runs": 1.5}, "n_runs must be an integer, got 1.5"),
+        ({"base_seed": "0"}, "base_seed must be an integer, got '0'"),
+        ({"workers": 2.0}, "workers must be an integer, got 2.0"),
     ])
     def test_bad_setting_raises_before_any_block(self, monkeypatch, setting, message):
         monkeypatch.setattr(harness, "run_block", None)  # a block run would fail with TypeError
         with pytest.raises(ValueError, match=message):
             run_sweep(small_config(**setting))
+
+    def test_integer_settings_take_numpy_integers(self):
+        config = small_config(filter_thresholds=np.array([1, 5]), n_runs=np.int64(2), base_seed=np.int32(3),
+                              workers=np.uint8(1))
+        ints = (*config.filter_thresholds, config.n_runs, config.base_seed, config.workers)
+        assert ints == (1, 5, 2, 3, 1) and all(type(v) is int for v in ints)
 
     def test_misspelled_model_param_raises_before_any_fit(self, monkeypatch):
         """A ``model_params`` key the family's defaults do not name stops the
@@ -349,7 +357,7 @@ class TestExperimentConfig:
         p.write_text(json.dumps({"dataset": {"synth": {"n_samples": 300, "n_classes": 3, "n_features": 4,
                                                        "class_counts": [164, 82, 54], "seed": 0}},
                                  "filter_thresholds": [1], "families": ["dt"],
-                                 "hpo": {"enabled": True, "overrides": {"max_depth": 2}}}),
+                                 "hpo": {"overrides": {"max_depth": 2}}}),
                      encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(message)):
             load_experiment_config(p)
@@ -357,6 +365,75 @@ class TestExperimentConfig:
         assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists() and searches == []
+
+    @pytest.mark.parametrize("section, message", [
+        ({"n_trials": 0, "strategy": "median", "per_threshold": True, "overrides": {"max_dept": 2}},
+         "n_trials must be >= 1"),
+        ({"enabled": True, "n_trials": 2}, "unknown key 'enabled' in hpo"),
+        ({"n_trials": 2, "strategy": "oversample"}, "strategy must be one of"),
+    ])
+    def test_a_bad_hpo_section_raises_before_any_search(self, monkeypatch, tmp_path, capsys, section, message):
+        """An ``hpo`` section is an ``HpoSpec`` and turns tuning on, so a bad
+        one stops ``imbench bench`` (exit 2, no results file) rather than
+        leaving the sweep untuned without a word."""
+        searches = []
+        monkeypatch.setattr(harness, "hpo_random_search", lambda family, *args, **kwargs: searches.append(family))
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps({"dataset": {"synth": {"n_samples": 300, "n_classes": 3, "n_features": 4,
+                                                       "class_counts": [164, 82, 54], "seed": 0}},
+                                 "filter_thresholds": [1], "families": ["dt"], "hpo": section}),
+                     encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_experiment_config(p)
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(p), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and searches == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_file_form_maps_one_to_one_onto_the_config(self, tmp_path_factory, data):
+        """A config written as its file form (the top-level fields, a
+        ``dataset`` section and ``hpo`` as ``asdict(config.hpo)``, or no
+        ``hpo`` key) loads back equal."""
+        if data.draw(st.booleans()):
+            counts = tuple(data.draw(st.lists(st.integers(1, 300), min_size=2, max_size=5)))
+            shape = data.draw(st.one_of(
+                st.just(dict(n_samples=sum(counts), class_counts=counts)),
+                st.builds(dict, n_samples=st.integers(300, 1000), power_law_exponent=st.floats(0.1, 3.0))))
+            source = {"synth": SynthConfig(n_classes=len(counts), n_features=data.draw(st.integers(1, 9)),
+                                           cluster_separation=data.draw(st.floats(0.0, 10.0)),
+                                           seed=data.draw(st.integers(0, 2 ** 32 - 1)), **shape)}
+        else:
+            source = {"csv_path": "clinic.csv", "schema_path": "clinic.csv.schema.json"}
+        families = tuple(data.draw(st.lists(st.sampled_from(DEFAULT_FAMILIES), min_size=1,
+                                            unique=True)))
+        hpo_spec = st.builds(HpoSpec, n_trials=st.integers(1, 50), cv_folds=st.integers(2, 10),
+                             seed=st.integers(0, 2 ** 32 - 1), strategy=st.sampled_from(STRATEGIES),
+                             per_threshold=st.booleans())
+        config = ExperimentConfig(
+            **source,
+            filter_thresholds=data.draw(st.one_of(st.none(), st.sets(st.integers(1, 1000), min_size=1).map(sorted))),
+            strategies=tuple(data.draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, unique=True))),
+            families=families,
+            n_runs=data.draw(st.integers(1, 20)),
+            base_seed=data.draw(st.integers(0, 2 ** 32 - 1)),
+            fractions=data.draw(st.sampled_from([(0.6, 0.2, 0.2), (0.5, 0.25, 0.25), (0.7, 0.15, 0.15)])),
+            beta=data.draw(st.floats(0.0, 0.99999)),
+            model_params={family: {"max_depth": data.draw(st.integers(1, 30))}
+                          for family in families if family != "tabresnet" and data.draw(st.booleans())},
+            hpo=data.draw(st.one_of(st.none(), hpo_spec)),
+            workers=data.draw(st.integers(1, 8)),
+        )
+        form = {name: getattr(config, name) for name in ExperimentConfig.__dataclass_fields__
+                if name not in ("csv_path", "schema_path", "synth", "hpo")}
+        form["dataset"] = ({"synth": asdict(config.synth)} if config.synth is not None
+                           else {"csv": config.csv_path, "schema": config.schema_path})
+        if config.hpo is not None:
+            form["hpo"] = asdict(config.hpo)
+        p = tmp_path_factory.mktemp("config") / "config.json"
+        p.write_text(json.dumps(form), encoding="utf-8")
+        assert load_experiment_config(p) == config
 
     def test_readme_config_loads(self, tmp_path):
         """The experiment config documented in README.md is one the loader accepts."""
@@ -367,7 +444,7 @@ class TestExperimentConfig:
         p.write_text(block, encoding="utf-8")
         config = load_experiment_config(p)
         assert set(json.loads(block)) <= {*ExperimentConfig.__dataclass_fields__, "dataset"}
-        assert config.csv_path == "clinic.csv" and config.hpo is None
+        assert config.csv_path == "clinic.csv" and config.hpo == HpoSpec(**json.loads(block)["hpo"])
 
 
 class TestThresholdLadder:
@@ -679,8 +756,8 @@ class TestRunSweep:
         slice, and each winner reaches exactly the blocks it was searched for."""
         searches = []
 
-        def spy(family, x, y, spec, strategy, beta, n_classes):
-            searches.append((family, x, y, n_classes, strategy))
+        def spy(family, x, y, spec, beta, n_classes):
+            searches.append((family, x, y, n_classes, spec.strategy))
             return HpoResult(family, {"tag": "%s@%d" % (family, len(y))}, 0.0, 0, [])
 
         monkeypatch.setattr(harness, "hpo_random_search", spy)
@@ -691,8 +768,7 @@ class TestRunSweep:
             # 250/100/50 rows: threshold 1 keeps 3 classes (240 train rows), 60 keeps 2 (210)
             config = small_config(families=("rec_a", "rec_b"), strategies=("none", "inverse"),
                                   filter_thresholds=(1, 60), n_runs=2, base_seed=3,
-                                  hpo=HpoSpec(n_trials=2, cv_folds=2), hpo_per_threshold=per_threshold,
-                                  hpo_strategy="median")
+                                  hpo=HpoSpec(n_trials=2, cv_folds=2, strategy="median", per_threshold=per_threshold))
             data = harness.load_dataset(config)
             results, _ = run_sweep(config, data)
             fits = list(_FITS)

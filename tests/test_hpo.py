@@ -217,6 +217,16 @@ class TestHpoSpec:
         with pytest.raises(ValueError):
             HpoSpec(cv_folds=1)
 
+    def test_strategy_is_one_of_the_weightings(self):
+        with pytest.raises(ValueError, match="strategy must be one of .*, got 'oversample'"):
+            HpoSpec(strategy="oversample")
+
+    def test_new_fields_follow_overrides(self):
+        """``strategy`` and ``per_threshold`` come after ``overrides``, so
+        positional construction keeps its meaning."""
+        assert HpoSpec(3, 2, 1, {"max_depth": 2}, "median", True) == HpoSpec(
+            n_trials=3, cv_folds=2, seed=1, overrides={"max_depth": 2}, strategy="median", per_threshold=True)
+
 
 class TestRandomSearch:
     def test_single_trial_wins_by_default(self):
@@ -348,13 +358,17 @@ class TestRandomSearch:
         for t in res.trials:
             assert all(0.0 <= s <= 1.0 for s in t.fold_scores)
 
-    def test_weighting_strategy_is_accepted(self):
+    def test_weighting_strategy_is_accepted(self, monkeypatch):
+        """``spec.strategy`` weights every fold fit."""
+        strategies = []
+        compute_weights = hpo.compute_weights
+        monkeypatch.setattr(hpo, "compute_weights", lambda dist, strategy, **kwargs: strategies.append(strategy)
+                            or compute_weights(dist, strategy, **kwargs))
         data = make_blobs(200, 2, 4, 2.0, seed=4, counts=[170, 30])
-        res = hpo_random_search(
-            "dt", data.features, data.labels,
-            spec=HpoSpec(n_trials=3, cv_folds=3, seed=0), strategy="inverse",
-        )
+        res = hpo_random_search("dt", data.features, data.labels,
+                                spec=HpoSpec(n_trials=3, cv_folds=3, seed=0, strategy="inverse"))
         assert res.best_score > 0.0
+        assert strategies == ["inverse"] * sum(len(t.fold_scores) for t in res.trials)
 
     def test_search_finds_the_planted_parity_optimum(self):
         """Depth <= 2 trees cannot express 3-bit parity; the search should
