@@ -193,9 +193,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_hpo(args) -> int:
-    data, _ = _load_preprocessed(args.csv, args.schema)
-    split = stratified_split(data, seed=args.seed)
-    train = data.subset(split.train)
     spec = HpoSpec(
         n_trials=args.trials,
         cv_folds=args.folds,
@@ -203,6 +200,9 @@ def _cmd_hpo(args) -> int:
         overrides=json.loads(args.overrides) if args.overrides else {},
         strategy=args.weighting,
     )
+    data, _ = _load_preprocessed(args.csv, args.schema)
+    split = stratified_split(data, seed=args.seed)
+    train = data.subset(split.train)
     result = hpo_random_search(args.family, train.features, train.labels, spec=spec, n_classes=data.n_classes)
     print("best trial:  %d" % result.best_trial)
     print("best score:  %.6f (mean weighted F1 over %d folds)" % (result.best_score, args.folds))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from array import array
 from dataclasses import asdict, dataclass, field
 
@@ -93,6 +94,31 @@ def _known(obj: dict, allowed, where: str) -> dict:
     if unknown:
         raise ValueError("unknown key %r in %s" % (unknown[0], where))
     return obj
+
+
+def _integer(value, name: str, low: int) -> int:
+    """``value`` as an int, numpy integers included, or a ValueError naming
+    the setting if it is not an integer or is below ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (name, low, value))
+    return value
+
+
+def _settings(obj, flags=(), **lows) -> None:
+    """Check a frozen settings dataclass in place: each field named in
+    ``lows`` becomes an int no smaller than its bound (``_integer``), and each
+    field in ``flags`` must be a bool (a numpy bool is stored as ``bool``)."""
+    for name, low in lows.items():
+        object.__setattr__(obj, name, _integer(getattr(obj, name), name, low))
+    for name in flags:
+        value = getattr(obj, name)
+        if not isinstance(value, (bool, np.bool_)):
+            raise ValueError("%s must be a bool, got %r" % (name, value))
+        object.__setattr__(obj, name, bool(value))
 
 
 def load_schema(path) -> ColumnSchema:

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import (DEFAULT_FRACTIONS, Dataset, _known, check_fractions, filter_min_class_count, load_csv,
-                   load_schema, preprocess, stratified_split)
+from .data import (DEFAULT_FRACTIONS, Dataset, _integer, _known, _settings, check_fractions, filter_min_class_count,
+                   load_csv, load_schema, preprocess, stratified_split)
 from .evaluation import accuracy, f1_scores
 from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, family_params, get_family,
                   hpo_random_search)
@@ -74,23 +74,16 @@ class ExperimentConfig:
             raise ValueError("configure exactly one dataset source (csv or synth)")
         if has_csv and self.schema_path is None:
             raise ValueError("csv datasets need a schema_path")
+        _settings(self, n_runs=1, base_seed=0, workers=1)
         if self.filter_thresholds is not None:
-            thresholds = tuple(_integer(t, "filter_thresholds") for t in self.filter_thresholds)
-            if not thresholds or any(t < 1 for t in thresholds):
-                raise ValueError("filter_thresholds must be >= 1")
-            if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
-                raise ValueError("filter_thresholds must be strictly ascending, got %s" % (thresholds,))
+            thresholds = tuple(_integer(t, "filter_thresholds", 1) for t in self.filter_thresholds)
+            if not thresholds or any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+                raise ValueError("filter_thresholds must be non-empty and strictly ascending, got %s" % (thresholds,))
             object.__setattr__(self, "filter_thresholds", thresholds)
         if not self.strategies or any(s not in STRATEGIES for s in self.strategies):
             raise ValueError("strategies must be drawn from %s" % (STRATEGIES,))
         if not self.families:
             raise ValueError("at least one model family required")
-        for name in ("n_runs", "base_seed", "workers"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         check_beta(self.beta)
         object.__setattr__(self, "strategies", _once(self.strategies, "strategies"))
         object.__setattr__(self, "families", _once(self.families, "families"))
@@ -105,14 +98,6 @@ class ExperimentConfig:
         """The label column the rows name: the schema's for a CSV source,
         ``"label"`` for a synthetic one."""
         return "label" if self.synth is not None else load_schema(self.schema_path).label_column
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an int, numpy integers included, or a ValueError naming the setting."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _once(values, where: str) -> tuple:

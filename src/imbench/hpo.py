@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import _known
+from .data import _known, _settings
 from .evaluation import confusion_matrix, f1_scores
 from .imbalance import class_frequencies
 from .tabresnet import ResNetConfig, TabResNetModel, hidden_dim_bounds, nn_fit
@@ -226,10 +226,7 @@ class HpoSpec:
     per_threshold: bool = False   # in a sweep: one search per threshold, not one on the first
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
+        _settings(self, ("per_threshold",), n_trials=1, cv_folds=2, seed=0)
         if self.strategy not in STRATEGIES:
             raise ValueError("strategy must be one of %s, got %r" % (STRATEGIES, self.strategy))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _largest_remainder
+from .data import Dataset, _integer, _largest_remainder, _settings
 
 __all__ = ["SynthConfig", "power_law_counts", "counts_for_ratio", "synth_generate"]
 
@@ -35,20 +35,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2:
-            raise ValueError("need at least two classes")
-        if self.n_features < 1:
-            raise ValueError("need at least one feature")
+        _settings(self, n_samples=1, n_classes=2, n_features=1, seed=0)
         if self.cluster_separation < 0:
             raise ValueError("cluster_separation must be non-negative")
         if (self.class_counts is None) == (self.power_law_exponent is None):
             raise ValueError("specify exactly one of class_counts or power_law_exponent")
         if self.class_counts is not None:
-            counts = tuple(int(c) for c in self.class_counts)
+            counts = tuple(_integer(c, "class_counts", 1) for c in self.class_counts)
             if len(counts) != self.n_classes:
                 raise ValueError("class_counts length must equal n_classes")
-            if any(c < 1 for c in counts):
-                raise ValueError("every class needs at least one sample")
             if sum(counts) != self.n_samples:
                 raise ValueError("class_counts must sum to n_samples")
             object.__setattr__(self, "class_counts", counts)

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import _settings
 from .evaluation import confusion_matrix, f1_scores
 from .losses import _weight_vector, bce_from_logits, cce_from_logits, sigmoid, softmax
 from .trees import _checked_table
@@ -67,22 +68,15 @@ class ResNetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_features < 1 or self.n_classes < 2:
-            raise ValueError("need n_features >= 1 and n_classes >= 2")
-        if self.hidden_dim < 8:
-            raise ValueError("hidden_dim must be >= 8")
-        if not (1 <= self.n_blocks):
-            raise ValueError("n_blocks must be >= 1")
+        # batch_size >= 2: batch norm needs batches of two
+        _settings(self, ("use_reduction", "binary_mode"), n_features=1, n_classes=2, hidden_dim=8, n_blocks=1,
+                  batch_size=2, max_epochs=1, patience=1, lr_patience=1, seed=0)
         if not (0.0 <= self.dropout <= 0.5):
             raise ValueError("dropout must lie in [0, 0.5]")
         if self.binary_mode and self.n_classes != 2:
             raise ValueError("binary_mode requires exactly two classes")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ValueError("learning_rate must be positive, weight_decay non-negative")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch norm needs it)")
-        if self.max_epochs < 1 or self.patience < 1 or self.lr_patience < 1:
-            raise ValueError("epoch/patience settings must be >= 1")
         if not (0.0 < self.lr_factor < 1.0):
             raise ValueError("lr_factor must lie in (0, 1)")
 

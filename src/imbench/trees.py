@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import _settings
 from .losses import _weight_vector, one_hot, softmax
 
 __all__ = [
@@ -46,6 +47,8 @@ _CRITERIA = ("gini", "entropy")
 # rows with 8 features and 12 classes takes one pass, and a node too large for
 # two features per block is searched one feature at a time.
 _BLOCK_ELEMENTS = 1 << 16
+# the lower bounds of the integer fields a tree and a forest share
+_TREE_BOUNDS = {"max_depth": 1, "min_samples_split": 2, "min_samples_leaf": 1}
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,7 @@ class TreeParams:
     criterion: str = "gini"
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
+        _settings(self, **_TREE_BOUNDS)
         if self.criterion not in _CRITERIA:
             raise ValueError("criterion must be one of %s" % (_CRITERIA,))
 
@@ -77,9 +75,9 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self):
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be >= 1")
-        TreeParams(self.max_depth, self.min_samples_split, self.min_samples_leaf, self.criterion)
+        _settings(self, ("bootstrap",), n_estimators=1, **_TREE_BOUNDS)
+        if self.criterion not in _CRITERIA:
+            raise ValueError("criterion must be one of %s" % (_CRITERIA,))
         mf = self.max_features
         if isinstance(mf, str):
             if mf not in ("sqrt", "log2"):
@@ -102,12 +100,9 @@ class GbtParams:
     reg_lambda: float = 1.0
 
     def __post_init__(self):
-        if self.n_estimators < 0:
-            raise ValueError("n_estimators must be >= 0")
+        _settings(self, n_estimators=0, max_depth=1)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError("subsample must lie in (0, 1]")
         if not (0.0 < self.colsample <= 1.0):

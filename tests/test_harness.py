@@ -318,6 +318,7 @@ class TestExperimentConfig:
         ({"n_runs": 1.5}, "n_runs must be an integer, got 1.5"),
         ({"base_seed": "0"}, "base_seed must be an integer, got '0'"),
         ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
     ])
     def test_bad_setting_raises_before_any_block(self, monkeypatch, setting, message):
         monkeypatch.setattr(harness, "run_block", None)  # a block run would fail with TypeError
@@ -557,6 +558,16 @@ class TestRunSweep:
         path = str(tmp_path / "results.csv")
         write_results(serial, path)
         assert [r.reason for r in read_results(path)] == [r.reason for r in serial]
+
+    def test_a_bad_model_param_value_is_a_failed_row_naming_it(self):
+        """Registered families take their params untyped, so a value of the
+        wrong type fails the family's blocks, each with a reason naming the
+        field, and leaves the other families' blocks of the sweep alone."""
+        config = small_config(families=("rf", "dt"), n_runs=2, model_params={"rf": {"bootstrap": "false"}})
+        results, _ = run_sweep(config)
+        assert {(r.classifier, r.status) for r in results} == {("rf+none", "failed"), ("dt+none", "ok")}
+        assert all(r.reason == "ValueError: bootstrap must be a bool, got 'false'"
+                   for r in results if r.classifier == "rf+none")
 
     def test_row_and_summary_counts(self):
         config = small_config(

@@ -260,6 +260,19 @@ class TestSerialization:
             assert loaded.params == model.params
             np.testing.assert_array_equal(loaded.predict_proba(xte), model.predict_proba(xte))
 
+    def test_round_trip_of_numpy_integer_params(self, tmp_path):
+        """Params given as numpy integers are stored as ints, so the model
+        saves as JSON and loads back with the same predictions."""
+        xtr, ytr, xte, _ = blob_split(300, 3, 5, 2.0, seed=4)
+        params = ForestParams(n_estimators=np.int64(4), max_depth=np.int32(5), min_samples_split=np.uint8(3),
+                              min_samples_leaf=np.int16(2), bootstrap=np.bool_(True))
+        model = rf_fit(xtr, ytr, np.ones(3), params=params, seed=2)
+        save_model(model, tmp_path / "rf.json")
+        loaded = load_model(tmp_path / "rf.json")
+        assert loaded.params == params == ForestParams(n_estimators=4, max_depth=5, min_samples_split=3,
+                                                       min_samples_leaf=2)
+        np.testing.assert_array_equal(loaded.predict(xte), model.predict(xte))
+
     def test_node_walk_visits_every_node(self):
         xtr, ytr, _, _ = blob_split(300, 3, 5, 2.0, seed=4)
         tree = dt_fit(xtr, ytr, np.ones(3), params=TreeParams(max_depth=5)).root
