@@ -98,8 +98,10 @@ def _known(obj: dict, allowed, where: str) -> dict:
 
 def _integer(value, name: str, low: int) -> int:
     """``value`` as an int, numpy integers included, or a ValueError naming
-    the setting if it is not an integer or is below ``low``."""
+    the setting if it is not an integer (a bool is not) or is below ``low``."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError("%s must be an integer, got %r" % (name, value)) from None

@@ -7,8 +7,9 @@ filters rare classes, splits stratified (60/20/20 by default), then fits
 and scores by the protocol it shares with HPO folds (``hpo._fit_and_score``):
 class weights from the training split only, a fit with its wall-clock timed,
 and accuracy plus macro and weighted F1 on the test split.
-A sweep prepares each (threshold, seed) slice once, as a plain value, and
-runs every block of the slice on it (``run_block``); ``fit_block`` runs one
+A sweep prepares each (target, threshold, seed) slice once, as a value that
+carries its key, runs every block of the slice on it (``run_block``) and
+collects the rows from one stream of finished slices; ``fit_block`` runs one
 block from the data.
 """
 
@@ -18,7 +19,7 @@ import csv
 import json
 import operator
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from .data import (DEFAULT_FRACTIONS, Dataset, _integer, _known, _settings, chec
 from .evaluation import accuracy, f1_scores
 from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, family_params, get_family,
                   hpo_random_search)
-from .imbalance import class_frequencies, imbalance_report
+from .imbalance import ImbalanceReport, LabelDistribution, class_frequencies, imbalance_report
 from .ranking import BlockMatrix
 from .synth import SynthConfig, synth_generate
 from .weighting import DEFAULT_BETA, STRATEGIES, check_beta
@@ -187,57 +188,59 @@ class BlockResult:
 _worker_data = None
 
 
-def _slice(data: Dataset, filter_threshold: int, seed: int, fractions) -> tuple:
-    """The work every block of a (threshold, seed) slice shares:
-    ``(train class distribution, its imbalance report, train, val, test)``,
-    or the reason the slice is skipped as a string."""
+@dataclass(frozen=True)
+class _Slice:
+    """A (target, threshold, seed) slice: the key its rows carry, and either
+    the reason it is ``skipped`` or the work all its blocks share, the
+    training split's class distribution, its imbalance report and the
+    train, val and test tables."""
+
+    target: str
+    threshold: int
+    seed: int
+    skipped: str | None = None
+    dist: LabelDistribution | None = None
+    report: ImbalanceReport | None = None
+    train: Dataset | None = None
+    val: Dataset | None = None
+    test: Dataset | None = None
+
+
+def _slice(data: Dataset, target: str, threshold: int, seed: int, fractions) -> _Slice:
     try:
-        filtered = filter_min_class_count(data, filter_threshold)
+        filtered = filter_min_class_count(data, threshold)
         split = stratified_split(filtered, fractions=fractions, seed=seed)
     except ValueError as exc:
-        return str(exc)
+        return _Slice(target, threshold, seed, skipped=str(exc))
     train = filtered.subset(split.train)
     dist = class_frequencies(train.labels)
     if dist.n_classes != filtered.n_classes:
-        return "a class is missing from the training split"
-    return dist, imbalance_report(dist), train, filtered.subset(split.val), filtered.subset(split.test)
+        return _Slice(target, threshold, seed, skipped="a class is missing from the training split")
+    return _Slice(target, threshold, seed, None, dist, imbalance_report(dist), train, filtered.subset(split.val),
+                  filtered.subset(split.test))
 
 
-def run_block(prepared, family: str, strategy: str, params: dict, filter_threshold: int, seed: int,
-              target: str = "label", beta: float = DEFAULT_BETA) -> tuple:
+def run_block(prepared: _Slice, family: str, strategy: str, params: dict, beta: float = DEFAULT_BETA) -> tuple:
     """One benchmark run on a slice ``_slice`` prepared, fitting ``family``
     with exactly ``params``: ``(BlockResult, model)``, the model the result
-    scored, or None unless the status is "ok".  A skipped slice gives a
-    skipped result, and an exception from the weights, the fit, the
-    prediction or its scoring a failed one (reason ``"<ExcType>:
-    <message>"``), rather than an exception."""
-    cid = classifier_id(family, strategy)
-    if isinstance(prepared, str):
-        return BlockResult(cid, target, filter_threshold, seed, status="skipped", reason=prepared), None
-    dist, report, train, val, test = prepared
+    scored, or None unless the status is "ok", keyed by the slice.  A
+    skipped slice gives a skipped result, and an exception from the weights,
+    the fit, the prediction or its scoring a failed one (reason
+    ``"<ExcType>: <message>"``), rather than an exception."""
+    key = (classifier_id(family, strategy), prepared.target, prepared.threshold, prepared.seed)
+    if prepared.skipped is not None:
+        return BlockResult(*key, status="skipped", reason=prepared.skipped), None
+    train, val, test, report = prepared.train, prepared.val, prepared.test, prepared.report
     try:
-        model, seconds, cm = _fit_and_score(family, params, dist, strategy, beta, seed, (train.features, train.labels),
-                                            (val.features, val.labels), (test.features, test.labels))
+        model, seconds, cm = _fit_and_score(family, params, prepared.dist, strategy, beta, prepared.seed,
+                                            (train.features, train.labels), (val.features, val.labels),
+                                            (test.features, test.labels))
     except Exception as exc:  # noqa: BLE001 - one failed fit must not abort the sweep
-        return BlockResult(
-            cid, target, filter_threshold, seed,
-            status="failed", reason="%s: %s" % (type(exc).__name__, exc),
-        ), None
+        return BlockResult(*key, status="failed", reason="%s: %s" % (type(exc).__name__, exc)), None
     f1 = f1_scores(cm)
-    return BlockResult(
-        classifier=cid,
-        target=target,
-        filter_threshold=filter_threshold,
-        seed=seed,
-        cvcf=report.cvcf,
-        imbalance_ratio=report.imbalance_ratio,
-        necd=report.necd,
-        accuracy=accuracy(cm),
-        macro_f1=f1.macro,
-        weighted_f1=f1.weighted,
-        train_seconds=seconds,
-        n_train=train.n_samples,
-    ), model
+    return BlockResult(*key, cvcf=report.cvcf, imbalance_ratio=report.imbalance_ratio, necd=report.necd,
+                       accuracy=accuracy(cm), macro_f1=f1.macro, weighted_f1=f1.weighted, train_seconds=seconds,
+                       n_train=train.n_samples), model
 
 
 def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
@@ -246,10 +249,11 @@ def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, 
     params)``: ``run_block``'s ``(BlockResult, model)`` on a slice
     of its own, where a sweep prepares each slice once for all its blocks;
     the slice, and with it any presort of its training table, is freed when
-    this returns."""
+    this returns.  A ``filter_threshold`` below 1 or a negative ``seed`` is a
+    ValueError naming it, raised before any split."""
+    filter_threshold, seed = _integer(filter_threshold, "filter_threshold", 1), _integer(seed, "seed", 0)
     params = family_params(family, params)
-    return run_block(_slice(data, filter_threshold, seed, fractions), family, strategy, params, filter_threshold,
-                     seed, target, beta)
+    return run_block(_slice(data, target, filter_threshold, seed, fractions), family, strategy, params, beta)
 
 
 @dataclass(frozen=True)
@@ -286,14 +290,13 @@ def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
         return out
     thresholds = config.filter_thresholds if config.hpo.per_threshold else config.filter_thresholds[:1]
     for threshold in thresholds:
-        prepared = _slice(data, threshold, config.base_seed, config.fractions)
+        prepared = _slice(data, config.target, threshold, config.base_seed, config.fractions)
         for family in config.families:
-            if isinstance(prepared, str):
-                raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared))
-            dist, _, train, _, _ = prepared
+            if prepared.skipped is not None:
+                raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared.skipped))
             spec = replace(config.hpo, overrides=config.model_params.get(family, {}))
-            result = hpo_random_search(family, train.features, train.labels, spec=spec, beta=config.beta,
-                                       n_classes=dist.n_classes)
+            result = hpo_random_search(family, prepared.train.features, prepared.train.labels, spec=spec,
+                                       beta=config.beta, n_classes=prepared.dist.n_classes)
             for t in ([threshold] if config.hpo.per_threshold else config.filter_thresholds):
                 out[(family, t)] = {**out[(family, t)], **result.best_params}
     return out
@@ -307,14 +310,13 @@ def _install_worker(specs, data: Dataset) -> None:
     _worker_data = data
 
 
-def _run_slice(data: Dataset, threshold: int, seed: int, blocks, target: str, fractions, beta: float) -> list:
-    """The rows of one (threshold, seed) slice: the slice is prepared once
-    and each (family, strategy, params) in ``blocks`` is one ``run_block`` on
-    it.  Its training table is read-only, so the dt and gbt fits share one
-    presort of it, which is freed with the slice when this returns."""
-    prepared = _slice(data, threshold, seed, fractions)
-    return [run_block(prepared, family, strategy, params, threshold, seed, target, beta)[0]
-            for family, strategy, params in blocks]
+def _run_slice(data: Dataset, target: str, threshold: int, seed: int, blocks, fractions, beta: float) -> list:
+    """The rows of one slice: it is prepared once and each (family, strategy,
+    params) in ``blocks`` is one ``run_block`` on it.  Its training table is
+    read-only, so the dt and gbt fits share one presort of it, which is
+    freed with the slice when this returns."""
+    prepared = _slice(data, target, threshold, seed, fractions)
+    return [run_block(prepared, family, strategy, params, beta)[0] for family, strategy, params in blocks]
 
 
 def _run_slice_task(task) -> list:
@@ -332,42 +334,46 @@ def _check_picklable(specs) -> None:
                              % spec.name) from exc
 
 
+def _finished_slices(config: ExperimentConfig, data: Dataset, params: dict):
+    """Yield each task's rows as it finishes.  A task is the blocks of one
+    (threshold, seed) slice, dealt into ceil(workers / slices) tasks when
+    slices are fewer than workers.  With ``workers > 1`` processes run the
+    tasks; each first registers the config's families and receives the data
+    once, so any start method works and every family spec must pickle.
+    Closing the stream, or a task raising, cancels the queued tasks."""
+    target = config.target
+    slices = [(threshold, config.base_seed + run)
+              for threshold in config.filter_thresholds for run in range(config.n_runs)]
+    blocks = [(family, strategy) for strategy in config.strategies for family in config.families]
+    parts = min(len(blocks), -(-config.workers // max(1, len(slices))))  # ceil(workers / slices)
+    tasks = [(target, threshold, seed,
+              [(family, strategy, params[(family, threshold)]) for family, strategy in blocks[part::parts]],
+              config.fractions, config.beta)
+             for threshold, seed in slices for part in range(parts)]
+    if config.workers == 1:
+        yield from (_run_slice(data, *task) for task in tasks)
+        return
+    specs = [get_family(f) for f in config.families]
+    _check_picklable(specs)
+    pool = ProcessPoolExecutor(max_workers=config.workers, initializer=_install_worker, initargs=(specs, data))
+    try:
+        yield from (future.result() for future in as_completed([pool.submit(_run_slice_task, t) for t in tasks]))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
     """Cartesian product of thresholds x strategies x families x runs.
 
-    Returns (results, summaries) with rows in deterministic sorted order.
-    Each (threshold, seed) slice is one task whose blocks share one filter
-    and split; with fewer slices than workers, each slice's blocks are
-    dealt into enough tasks to keep every worker busy.  ``workers > 1``
-    fans tasks out to processes, which first register the config's
-    families and receive the data once (so any start method works, and
-    every family spec must pickle); use 1 for clean timing.
-    """
+    Returns (results, summaries) with rows in deterministic sorted order,
+    whatever order the slices finish in; use ``workers`` 1 for clean timing."""
     if data is None:
         data = load_dataset(config)
     if config.filter_thresholds is None:
         ladder = default_threshold_ladder(class_frequencies(data.labels).counts)
         config = replace(config, filter_thresholds=ladder)
     params = _resolve_params(config, data)
-    target = config.target
-    slices = [(threshold, config.base_seed + run)
-              for threshold in config.filter_thresholds for run in range(config.n_runs)]
-    blocks = [(family, strategy) for strategy in config.strategies for family in config.families]
-    parts = min(len(blocks), -(-config.workers // max(1, len(slices))))  # ceil(workers / slices)
-    tasks = [
-        (threshold, seed, [(family, strategy, params[(family, threshold)]) for family, strategy in blocks[part::parts]],
-         target, config.fractions, config.beta)
-        for threshold, seed in slices
-        for part in range(parts)
-    ]
-    if config.workers > 1:
-        specs = [get_family(f) for f in config.families]
-        _check_picklable(specs)
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_install_worker,
-                                 initargs=(specs, data)) as pool:
-            results = [r for rows in pool.map(_run_slice_task, tasks, chunksize=1) for r in rows]
-    else:
-        results = [r for task in tasks for r in _run_slice(data, *task)]
+    results = [r for rows in _finished_slices(config, data, params) for r in rows]
     results.sort(key=lambda r: (r.target, r.filter_threshold, r.classifier, r.seed))
     return results, summarize(results)
 

@@ -19,6 +19,7 @@ from imbench import (
     read_results,
     stratified_split,
 )
+from imbench import harness, hpo
 from imbench.cli import main
 
 
@@ -172,6 +173,19 @@ class TestTrain:
         code = main(["train", "--csv", csv, "--schema", schema, "--family", "dt", "--params", '{"max_dept": 3}'])
         assert code == 2
         assert "unknown key 'max_dept' in the params of family 'dt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--min-class-count", "0", "filter_threshold must be >= 1, got 0"),
+    ])
+    def test_out_of_range_setting_is_named_before_any_fit(self, dataset, capsys, monkeypatch, option, value, message):
+        calls = []
+        monkeypatch.setattr(harness, "stratified_split", lambda *args, **kwargs: calls.append("split"))
+        monkeypatch.setattr(hpo, "fit_family", lambda *args, **kwargs: calls.append("fit"))
+        csv, schema = dataset
+        assert main(["train", "--csv", csv, "--schema", schema, "--family", "dt", option, value]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert calls == []
 
     def test_degenerate_filter_is_runtime_failure(self, dataset, capsys):
         csv, schema = dataset

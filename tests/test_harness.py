@@ -9,7 +9,7 @@ import os
 import re
 import struct
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, astuple
 
 import numpy as np
@@ -120,22 +120,26 @@ class _CountedDataset(Dataset):
 
 
 class _InlinePool:
-    """A ProcessPoolExecutor stand-in that runs its initializer and tasks
-    in this process and keeps the tasks."""
+    """A ProcessPoolExecutor stand-in that runs its initializer in this
+    process and each task as it is submitted, and keeps the tasks of its
+    last instance and the keyword arguments of each of its shutdowns."""
 
     def __init__(self, max_workers, initializer, initargs):
         self.max_workers = max_workers
+        _InlinePool.tasks, _InlinePool.shutdowns = [], []
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, task):
+        _InlinePool.tasks.append(task)
+        future = Future()
+        try:
+            future.set_result(fn(task))
+        except Exception as exc:  # noqa: BLE001 - the future carries it, as a pool's does
+            future.set_exception(exc)
+        return future
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize=1):
-        _InlinePool.tasks = list(tasks)
-        return map(fn, _InlinePool.tasks)
+    def shutdown(self, **kwargs):
+        _InlinePool.shutdowns.append(kwargs)
 
 
 def rows_match(a, b, ignore=("train_seconds",)):
@@ -713,8 +717,9 @@ class TestRunSweep:
         results, _ = run_sweep(config, data)
         assert set(trees._kept_lists) <= kept_before  # every slice's lists went with its table
         tables = [b for read_only, b in presorted if read_only]
-        slices = [harness._slice(data, t, s, config.fractions) for t in (1, 60) for s in (0, 1)]  # 200 is skipped
-        assert sorted(tables) == sorted(p[2].features.tobytes() for p in slices)  # one presort per slice
+        slices = [harness._slice(data, config.target, t, s, config.fractions)
+                  for t in (1, 60) for s in (0, 1)]  # 200 is skipped
+        assert sorted(tables) == sorted(p.train.features.tobytes() for p in slices)  # one presort per slice
         assert len(presorted) - len(tables) == len(slices) * 2 * 2  # rf bootstraps: strategies x trees
 
         presorted.clear()
@@ -745,12 +750,54 @@ class TestRunSweep:
         register_family("majority", majority_fit, {})
         serial, _ = run_sweep(config)
         parallel, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "workers": workers}))
-        blocks = [sorted((family, strategy) for family, strategy, _ in task[2]) for task in _InlinePool.tasks]
+        blocks = [sorted((family, strategy) for family, strategy, _ in task[3]) for task in _InlinePool.tasks]
         assert len(blocks) == n_tasks
         assert sorted(b for task in blocks for b in task) == sorted(
             [(f, s) for f in config.families for s in config.strategies] * n_thresholds * n_runs)
         assert len(serial) == len(parallel) == 4 * n_thresholds * n_runs
         assert all(rows_match(a, b) for a, b in zip(serial, parallel))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("thresholds, n_runs, n_tasks", [
+        ((1,), 1, (1, 2)),       # a lone slice's four blocks are dealt into two tasks for two workers
+        ((1, 200), 2, (4, 4)),   # four slices, one task each; 200 is skipped
+    ])
+    def test_the_stream_yields_one_item_per_task(self, workers, thresholds, n_runs, n_tasks):
+        """Each item of the stream is one task's rows, all from one slice,
+        and together they are every block of the sweep once."""
+        config = small_config(families=("dt", "majority"), strategies=("none", "inverse"),
+                              filter_thresholds=thresholds, n_runs=n_runs, workers=workers)
+        register_family("majority", majority_fit, {})
+        data = harness.load_dataset(config)
+        items = list(harness._finished_slices(config, data, harness._resolve_params(config, data)))
+        assert len(items) == n_tasks[workers - 1]
+        assert all(len({(r.target, r.filter_threshold, r.seed) for r in rows}) == 1 for rows in items)
+        assert sorted((r.filter_threshold, r.seed, r.classifier) for rows in items for r in rows) == sorted(
+            (t, s, classifier_id(f, w)) for t in thresholds for s in range(n_runs)
+            for f in config.families for w in config.strategies)
+        assert all(r.status == ("skipped" if r.filter_threshold == 200 else "ok") for rows in items for r in rows)
+
+    def test_closing_the_stream_cancels_the_tasks_not_started(self, monkeypatch):
+        """A consumer that stops early, or a task that raises, shuts the pool
+        down with its queued tasks cancelled rather than run."""
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(harness, "_worker_data", None)
+        config = small_config(n_runs=4, workers=2)
+        data = harness.load_dataset(config)
+        params = harness._resolve_params(config, data)
+        stream = harness._finished_slices(config, data, params)
+        assert len(next(stream)) == 1
+        assert _InlinePool.shutdowns == []
+        stream.close()
+        assert _InlinePool.shutdowns == [{"cancel_futures": True}]
+
+        def broken(*task):
+            raise RuntimeError("task broke")
+
+        monkeypatch.setattr(harness, "_run_slice", broken)
+        with pytest.raises(RuntimeError, match="task broke"):
+            list(harness._finished_slices(config, data, params))
+        assert _InlinePool.shutdowns == [{"cancel_futures": True}]
 
     def test_hpo_path_updates_params(self):
         config = small_config(

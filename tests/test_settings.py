@@ -1,7 +1,7 @@
 """Every settings dataclass checks its integer fields and flags the same way:
-a value that is not an integer, or is below the field's bound, or a flag
-that is not a bool, is a ValueError naming the field; numpy integers and
-numpy bools are stored as ``int`` and ``bool``."""
+a value that is not an integer (a bool is not one), or is below the field's
+bound, or a flag that is not a bool, is a ValueError naming the field; numpy
+integers and numpy bools are stored as ``int`` and ``bool``."""
 
 import re
 
@@ -51,7 +51,8 @@ def _integer_field(data):
 @given(data=st.data())
 def test_a_non_integer_in_an_integer_field_is_named(data):
     cls, _, name, _, put = _integer_field(data)
-    value = data.draw(st.one_of(st.floats().filter(lambda f: not f.is_integer()), st.text()))
+    value = data.draw(st.one_of(st.floats().filter(lambda f: not f.is_integer()), st.text(), st.booleans(),
+                                st.booleans().map(np.bool_)))  # a bool is an int to operator.index
     with pytest.raises(ValueError, match=re.escape("%s must be an integer, got %r" % (name, value))):
         cls(**put(value))
 

@@ -63,3 +63,25 @@ def test_scored_fits_pass_through_the_traced_fit_family(tmp_path):
     assert len(fold_fits) == sum(len(t.fold_scores) for t in result.trials)
     assert all(by_id[s["parent"]]["name"] == "hpo.hpo_random_search" for s in fold_fits)
     assert np.isfinite(result.best_score)
+
+
+def test_every_block_of_a_parallel_sweep_is_a_traced_run_block(tmp_path):
+    """``harness.blocks`` and ``harness.parallel_efficiency`` come from the
+    ``run_block`` spans that forked workers write: a sweep with two workers
+    gives one per block, each with its fit as a ``fit_family`` child."""
+    spans = load_spans()
+    tracer = spans.Tracer(str(tmp_path))
+    config = imbench.ExperimentConfig(
+        synth=imbench.SynthConfig(n_samples=300, n_classes=3, n_features=4, class_counts=(150, 100, 50), seed=1),
+        filter_thresholds=(1,), strategies=("none", "inverse"), families=("dt",), n_runs=3,
+        model_params={"dt": {"max_depth": 3}}, workers=2)
+    tracer.install()
+    try:
+        rows, _ = imbench.run_sweep(config)
+    finally:
+        tracer.uninstall()
+    tracer.collect_children()
+    blocks = [s for s in tracer.spans if s["name"] == "harness.run_block"]
+    fitted = {s["parent"] for s in tracer.spans if s["name"] == "hpo.fit_family"}
+    assert len(rows) == len(blocks) == 6 and all(r.status == "ok" for r in rows)
+    assert all(b["id"] in fitted and b["pid"] != tracer.pid for b in blocks)
