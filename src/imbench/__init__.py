@@ -37,7 +37,6 @@ from .harness import (
     summarize,
     write_degradation,
     write_results,
-    write_results_json,
     write_summary,
 )
 from .hpo import (

@@ -24,7 +24,6 @@ from .harness import (
     summarize,
     write_degradation,
     write_results,
-    write_results_json,
     write_summary,
 )
 from .hpo import HpoSpec, hpo_random_search, registered_families
@@ -130,7 +129,7 @@ def _cmd_train(args) -> int:
         data,
         family=args.family,
         strategy=args.weighting,
-        filter_threshold=args.min_class_count,
+        filter_threshold=args.filter_threshold,
         seed=args.seed,
         target=schema.label_column,
         beta=args.beta,
@@ -159,9 +158,6 @@ def _cmd_bench(args) -> int:
     n_skipped = sum(1 for r in results if r.status == "skipped")
     n_failed = sum(1 for r in results if r.status == "failed")
     print("wrote %d rows (%d skipped, %d failed) -> %s" % (len(results), n_skipped, n_failed, args.out))
-    if args.json_out:
-        write_results_json(results, args.json_out)
-        print("json mirror -> %s" % args.json_out)
     if args.summary_out:
         write_summary(summaries, args.summary_out)
         print("summary -> %s" % args.summary_out)
@@ -197,7 +193,7 @@ def _cmd_hpo(args) -> int:
         n_trials=args.trials,
         cv_folds=args.folds,
         seed=args.seed,
-        overrides=json.loads(args.overrides) if args.overrides else {},
+        overrides=json.loads(args.params) if args.params else {},
         strategy=args.weighting,
     )
     data, _ = _load_preprocessed(args.csv, args.schema)
@@ -265,19 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     fit_args.add_argument("--schema", required=True)
     fit_args.add_argument("--family", required=True, choices=registered_families())
     fit_args.add_argument("--weighting", default="none", choices=STRATEGIES)
+    fit_args.add_argument("--params", default=None, help="JSON object of the family's fixed parameters")
 
     p = sub.add_parser("train", parents=[fit_args], help="train and evaluate a single classifier")
-    p.add_argument("--min-class-count", type=int, default=1)
+    p.add_argument("--filter-threshold", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta", type=float, default=DEFAULT_BETA)
-    p.add_argument("--params", default=None, help="JSON object of model parameters")
     p.add_argument("--save-model", default=None, help="write the fitted model as JSON")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("bench", help="run a full sweep from a JSON experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="raw results CSV")
-    p.add_argument("--json-out", default=None)
     p.add_argument("--summary-out", default=None)
     p.add_argument("--degradation-out", default=None)
     p.add_argument("--metric", default="weighted_f1", choices=METRICS)
@@ -296,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=HpoSpec.n_trials)
     p.add_argument("--folds", type=int, default=HpoSpec.cv_folds)
     p.add_argument("--seed", type=int, default=HpoSpec.seed)
-    p.add_argument("--overrides", default=None, help="JSON object of fixed parameter overrides")
     p.add_argument("--out", default=None, help="write the full trial log as JSON")
     p.set_defaults(func=_cmd_hpo)
 

@@ -407,10 +407,10 @@ def filter_min_class_count(data: Dataset, min_count: int) -> Dataset:
     """Drop classes rarer than ``min_count`` and re-densify the label ids.
 
     Surviving classes keep their relative order.  Fewer than two survivors
-    is a degenerate dataset and raises.
+    is a degenerate dataset and raises, and so does a ``min_count`` that is
+    not an integer of at least 1, naming it.
     """
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+    min_count = _integer(min_count, "min_count", 1)
     counts = np.bincount(data.labels, minlength=data.n_classes)
     keep = np.flatnonzero(counts >= min_count)
     if keep.size < 2:

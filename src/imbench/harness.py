@@ -19,8 +19,9 @@ import csv
 import json
 import operator
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, replace
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .synth import SynthConfig, synth_generate
 from .weighting import DEFAULT_BETA, STRATEGIES, check_beta
 
 __all__ = ["ExperimentConfig", "BlockResult", "SummaryRow", "METRICS", "classifier_id", "fit_block", "run_block",
-           "run_sweep", "summarize", "write_results", "read_results", "write_results_json", "write_summary",
-           "write_degradation", "block_matrix", "load_experiment_config", "load_dataset"]
+           "run_sweep", "summarize", "write_results", "read_results", "write_summary", "write_degradation",
+           "block_matrix", "load_experiment_config", "load_dataset"]
 
 _FLOAT_FMT = "%.17g"
 
@@ -263,6 +264,7 @@ class SummaryRow:
     filter_threshold: int
     n_runs: int
     n_skipped: int
+    n_failed: int
     cvcf: float
     imbalance_ratio: float
     necd: float
@@ -340,7 +342,9 @@ def _finished_slices(config: ExperimentConfig, data: Dataset, params: dict):
     slices are fewer than workers.  With ``workers > 1`` processes run the
     tasks; each first registers the config's families and receives the data
     once, so any start method works and every family spec must pickle.
-    Closing the stream, or a task raising, cancels the queued tasks."""
+    At most ``workers`` tasks are submitted at a time, one more as each
+    finishes, so closing the stream, or a task raising, leaves only those to
+    run to the end and cancels the rest before they start."""
     target = config.target
     slices = [(threshold, config.base_seed + run)
               for threshold in config.filter_thresholds for run in range(config.n_runs)]
@@ -356,8 +360,13 @@ def _finished_slices(config: ExperimentConfig, data: Dataset, params: dict):
     specs = [get_family(f) for f in config.families]
     _check_picklable(specs)
     pool = ProcessPoolExecutor(max_workers=config.workers, initializer=_install_worker, initargs=(specs, data))
+    waiting = iter(tasks)
     try:
-        yield from (future.result() for future in as_completed([pool.submit(_run_slice_task, t) for t in tasks]))
+        running = {pool.submit(_run_slice_task, t) for t in islice(waiting, config.workers)}
+        while running:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            running |= {pool.submit(_run_slice_task, t) for t in islice(waiting, len(done))}
+            yield from (future.result() for future in done)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -392,8 +401,8 @@ def _mean_field(metric: str) -> str:
 
 def summarize(results) -> list:
     """Mean/std (population) per (classifier, target, threshold) over the
-    ok runs; skipped runs are counted in ``n_skipped``, and neither skipped
-    nor failed runs enter the statistics.
+    ok runs; skipped runs are counted in ``n_skipped`` and failed ones in
+    ``n_failed``, and neither enters the statistics.
 
     The ok rows are sorted by group, keeping their order within a group, and
     the groups with R ok rows are reduced together as one (groups, R) array
@@ -409,6 +418,7 @@ def summarize(results) -> list:
     ok_rows = ok_rows[np.argsort(group[ok_rows], kind="stable")]
     n_ok = np.bincount(group[ok_rows], minlength=len(key_ids))
     n_skipped = np.bincount(group[status == "skipped"], minlength=len(key_ids))
+    n_failed = np.bincount(group[status == "failed"], minlength=len(key_ids))
     starts = np.cumsum(n_ok) - n_ok
     stats: dict = {}  # column -> per-group (mean, std)
     for name in METRICS + _BLOCK_MEANS:
@@ -427,7 +437,8 @@ def summarize(results) -> list:
         scores = {}
         for metric in METRICS:
             scores[metric + "_mean"], scores[metric + "_std"] = stats[metric][0][g], stats[metric][1][g]
-        rows.append(SummaryRow(cid, target, threshold, int(n_ok[g]), int(n_skipped[g]), **means, **scores))
+        rows.append(SummaryRow(cid, target, threshold, int(n_ok[g]), int(n_skipped[g]), int(n_failed[g]), **means,
+                               **scores))
     return rows
 
 
@@ -477,12 +488,6 @@ def read_results(path) -> list:
             rows.append(BlockResult(classifier, target, int(threshold), int(seed), status, reason,
                                     *map(float, scores), int(n_train)))
     return rows
-
-
-def write_results_json(results, path) -> None:
-    """JSON mirror of the results CSV (list of row objects)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([asdict(r) for r in results], fh, indent=1)
 
 
 def write_summary(rows, path) -> None:

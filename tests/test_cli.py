@@ -1,7 +1,10 @@
 """End-to-end command-line tests, run in process via cli.main."""
 
 import json
+import re
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from imbench import (
     stratified_split,
 )
 from imbench import harness, hpo
-from imbench.cli import main
+from imbench.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def load_ready(csv, schema_path):
@@ -176,7 +181,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--seed", "-1", "seed must be >= 0, got -1"),
-        ("--min-class-count", "0", "filter_threshold must be >= 1, got 0"),
+        ("--filter-threshold", "0", "filter_threshold must be >= 1, got 0"),
     ])
     def test_out_of_range_setting_is_named_before_any_fit(self, dataset, capsys, monkeypatch, option, value, message):
         calls = []
@@ -190,7 +195,7 @@ class TestTrain:
     def test_degenerate_filter_is_runtime_failure(self, dataset, capsys):
         csv, schema = dataset
         code = main(["train", "--csv", csv, "--schema", schema, "--family", "dt",
-                     "--min-class-count", "400"])
+                     "--filter-threshold", "400"])
         assert code == 2
         assert "skipped" in capsys.readouterr().err
 
@@ -212,12 +217,11 @@ def bench_artifacts(tmp_path_factory):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     paths = {
         "results": str(root / "results.csv"),
-        "json": str(root / "results.json"),
         "summary": str(root / "summary.csv"),
         "degradation": str(root / "degradation.csv"),
     }
     code = main(["bench", "--config", str(config_path), "--out", paths["results"],
-                 "--json-out", paths["json"], "--summary-out", paths["summary"],
+                 "--summary-out", paths["summary"],
                  "--degradation-out", paths["degradation"]])
     assert code == 0
     return paths
@@ -228,8 +232,6 @@ class TestBenchAndStats:
         results = read_results(bench_artifacts["results"])
         assert len(results) == 3 * 2 * 2  # thresholds x strategies x runs
         assert {r.classifier for r in results} == {"dt+none", "dt+inverse"}
-        mirror = json.loads(open(bench_artifacts["json"], encoding="utf-8").read())
-        assert len(mirror) == len(results)
         summary_lines = open(bench_artifacts["summary"], encoding="utf-8").read().splitlines()
         assert len(summary_lines) == 1 + 6  # header + classifier x threshold groups
         degradation_lines = open(bench_artifacts["degradation"], encoding="utf-8").read().splitlines()
@@ -311,7 +313,7 @@ class TestHpo:
         log_path = str(tmp_path / "trials.json")
         code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt",
                      "--trials", "4", "--folds", "2", "--seed", "0",
-                     "--overrides", '{"max_depth": 5}', "--out", log_path])
+                     "--params", '{"max_depth": 5}', "--out", log_path])
         assert code == 0
         out = capsys.readouterr().out
         assert "best trial:" in out and "best score:" in out
@@ -324,7 +326,7 @@ class TestHpo:
     def test_misspelled_override_is_runtime_failure(self, dataset, capsys):
         csv, schema = dataset
         code = main(["hpo", "--csv", csv, "--schema", schema, "--family", "dt", "--trials", "2", "--folds", "2",
-                     "--overrides", '{"max_dept": 3}'])
+                     "--params", '{"max_dept": 3}'])
         assert code == 2
         assert "unknown key 'max_dept' in the params of family 'dt'" in capsys.readouterr().err
 
@@ -339,3 +341,15 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["inspect", "--csv", "x.csv"]) == 1
+
+
+def test_every_readme_command_parses():
+    """Each ``imbench ...`` command in the README's bash blocks, its ``\\``
+    continuation lines joined, is one the parser accepts (none is run), and
+    together they show every subcommand."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("imbench ")]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+    assert {argv[1] for argv in commands} == {"synth", "inspect", "weights", "train", "bench", "stats", "hpo"}

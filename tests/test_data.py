@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -412,9 +413,14 @@ class TestFilterMinClassCount:
         np.testing.assert_array_equal(kept.features, data.features[survivors])
 
     def test_min_count_below_one_rejected(self):
+        """The one integer check: no rounding, no bool, no parsing."""
         data = make_dataset(np.arange(10) % 2)
-        with pytest.raises(ValueError):
-            filter_min_class_count(data, 0)
+        for value, message in [(0, "min_count must be >= 1, got 0"),
+                               (50.5, "min_count must be an integer, got 50.5"),
+                               (True, "min_count must be an integer, got True"),
+                               ("3", "min_count must be an integer, got '3'")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                filter_min_class_count(data, value)
 
 
 class TestCsvRoundTrip:

@@ -9,6 +9,7 @@ import os
 import re
 import struct
 import tempfile
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import asdict, astuple
 
@@ -46,7 +47,6 @@ from imbench import (
     unregister_family,
     write_degradation,
     write_results,
-    write_results_json,
     write_summary,
 )
 from imbench import harness, hpo, trees
@@ -104,6 +104,14 @@ _FITS = []
 def recording_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
     """Records the training size and the HPO tag each fit receives."""
     _FITS.append((len(y), params.get("tag")))
+    return majority_fit(x, y, weights, params, n_classes, seed)
+
+
+def marking_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
+    """Leaves a marker file named by its seed in ``params["dir"]``, then
+    takes a while, so that a pool's queue fills up behind it."""
+    open(os.path.join(params["dir"], "fit-%d" % seed), "w").close()
+    time.sleep(0.2)
     return majority_fit(x, y, weights, params, n_classes, seed)
 
 
@@ -552,10 +560,9 @@ class TestRunSweep:
         failed = [r for r in serial if r.status == "failed"]
         assert [(r.classifier, r.seed) for r in failed] == [("flaky+none", 1), ("flaky+none", 3)]
         assert all(r.reason.startswith("RuntimeError: non-finite training loss") for r in failed)
-        # failed rows enter neither the statistics nor the skipped count
-        by_classifier = {s.classifier: s for s in serial_summaries}
-        assert (by_classifier["flaky+none"].n_runs, by_classifier["flaky+none"].n_skipped) == (2, 0)
-        assert (by_classifier["dt+none"].n_runs, by_classifier["dt+none"].n_skipped) == (4, 0)
+        # failed rows are counted apart, and enter neither the statistics nor the skipped count
+        counts = {s.classifier: (s.n_runs, s.n_skipped, s.n_failed) for s in serial_summaries}
+        assert counts == {"flaky+none": (2, 0, 2), "dt+none": (4, 0, 0)}
         assert ([(s.classifier, s.n_runs, s.weighted_f1_mean) for s in serial_summaries]
                 == [(s.classifier, s.n_runs, s.weighted_f1_mean) for s in parallel_summaries])
         # the failure reasons survive the results CSV
@@ -799,6 +806,19 @@ class TestRunSweep:
             list(harness._finished_slices(config, data, params))
         assert _InlinePool.shutdowns == [{"cancel_futures": True}]
 
+    def test_closing_the_stream_leaves_at_most_one_round_of_tasks_to_run(self, tmp_path):
+        """With a real pool, only the tasks submitted when the consumer
+        stops run: one per worker, and the replacements for those that had
+        finished.  The rest are cancelled before any worker takes them."""
+        register_family("marking", marking_fit, {"dir": ""})
+        config = small_config(families=("marking",), n_runs=20, workers=2,
+                              model_params={"marking": {"dir": str(tmp_path)}})
+        data = harness.load_dataset(config)
+        stream = harness._finished_slices(config, data, harness._resolve_params(config, data))
+        assert len(next(stream)) == 1
+        stream.close()
+        assert 1 <= len(os.listdir(tmp_path)) <= 2 * config.workers
+
     def test_hpo_path_updates_params(self):
         config = small_config(
             hpo=HpoSpec(n_trials=2, cv_folds=2, seed=0),
@@ -952,7 +972,8 @@ def summarize_oracle(results):
             scores[metric + "_mean"], scores[metric + "_std"] = float(vals.mean()), float(vals.std())
         means = {name: float(np.mean([getattr(r, name) for r in ok])) for name in harness._BLOCK_MEANS}
         n_skipped = sum(1 for r in rs if r.status == "skipped")
-        rows.append(harness.SummaryRow(cid, target, threshold, len(ok), n_skipped, **means, **scores))
+        n_failed = sum(1 for r in rs if r.status == "failed")
+        rows.append(harness.SummaryRow(cid, target, threshold, len(ok), n_skipped, n_failed, **means, **scores))
     return rows
 
 
@@ -1040,15 +1061,6 @@ class TestPersistence:
         p.write_text("%s\n%s\n" % (header, row.rsplit(",", 1)[0]), encoding="utf-8")
         with pytest.raises(ValueError, match=r"row 2 in .*short\.csv: expected 14 fields, got 13"):
             read_results(p)
-
-    def test_json_mirror(self, tmp_path):
-        results, _ = self.results()
-        p = tmp_path / "results.json"
-        write_results_json(results, p)
-        loaded = json.loads(p.read_text(encoding="utf-8"))
-        assert len(loaded) == len(results)
-        assert loaded[0]["classifier"] == results[0].classifier
-        assert set(loaded[0]) == set(asdict(results[0]))
 
     def test_summary_file(self, tmp_path):
         _, summaries = self.results()
