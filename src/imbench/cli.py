@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .data import load_csv, load_schema, preprocess, save_csv, schema_for, stratified_split
 from .harness import (
@@ -60,9 +61,7 @@ def _cmd_inspect(args) -> int:
             "n_samples": raw.n_samples,
             "n_classes": len(raw.class_names),
             "counts": {raw.class_names[i]: int(c) for i, c in zip(dist.class_ids, dist.counts)},
-            "cvcf": report.cvcf,
-            "imbalance_ratio": report.imbalance_ratio,
-            "necd": report.necd,
+            **asdict(report),
         }, indent=2))
         return 0
     print("target column:   %s" % raw.schema.label_column)

@@ -44,6 +44,10 @@ _KINDS = ("continuous", "categorical")
 # map to exact zeros instead of dividing by zero
 _SCALE_FLOOR = 1e-12
 
+# the text form of every float imbench writes: 17 significant digits read
+# back to the same float64, bit for bit
+_FLOAT_FMT = "%.17g"
+
 
 @dataclass(frozen=True)
 class ColumnSpec:
@@ -441,10 +445,9 @@ def save_csv(data: Dataset, path, label_column: str = "label") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(data.feature_names) + [label_column])
-        for i in range(data.n_samples):
-            row = ["%.17g" % v for v in data.features[i]]
-            row.append(data.class_names[data.labels[i]])
-            writer.writerow(row)
+        # one row of Python floats at a time: the table is never held twice
+        writer.writerows((*map(_FLOAT_FMT.__mod__, row), data.class_names[label])
+                         for row, label in zip(map(np.ndarray.tolist, data.features), data.labels.tolist()))
 
 
 def schema_for(data: Dataset, label_column: str = "label") -> ColumnSchema:

@@ -19,14 +19,15 @@ import csv
 import json
 import operator
 import pickle
+import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import islice
 
 import numpy as np
 
-from .data import (DEFAULT_FRACTIONS, Dataset, _integer, _known, _settings, check_fractions, filter_min_class_count,
-                   load_csv, load_schema, preprocess, stratified_split)
+from .data import (_FLOAT_FMT, DEFAULT_FRACTIONS, Dataset, _integer, _known, _settings, check_fractions,
+                   filter_min_class_count, load_csv, load_schema, preprocess, stratified_split)
 from .evaluation import accuracy, f1_scores
 from .hpo import (DEFAULT_FAMILIES, HpoSpec, _fit_and_score, _install_families, family_params, get_family,
                   hpo_random_search)
@@ -38,8 +39,6 @@ from .weighting import DEFAULT_BETA, STRATEGIES, check_beta
 __all__ = ["ExperimentConfig", "BlockResult", "SummaryRow", "METRICS", "classifier_id", "fit_block", "run_block",
            "run_sweep", "summarize", "write_results", "read_results", "write_summary", "write_degradation",
            "block_matrix", "load_experiment_config", "load_dataset"]
-
-_FLOAT_FMT = "%.17g"
 
 
 def classifier_id(family: str, strategy: str) -> str:
@@ -214,9 +213,9 @@ def _slice(data: Dataset, target: str, threshold: int, seed: int, fractions) -> 
     except ValueError as exc:
         return _Slice(target, threshold, seed, skipped=str(exc))
     train = filtered.subset(split.train)
-    dist = class_frequencies(train.labels)
-    if dist.n_classes != filtered.n_classes:
+    if not np.bincount(train.labels, minlength=filtered.n_classes).all():
         return _Slice(target, threshold, seed, skipped="a class is missing from the training split")
+    dist = class_frequencies(train.labels)
     return _Slice(target, threshold, seed, None, dist, imbalance_report(dist), train, filtered.subset(split.val),
                   filtered.subset(split.test))
 
@@ -239,9 +238,8 @@ def run_block(prepared: _Slice, family: str, strategy: str, params: dict, beta: 
     except Exception as exc:  # noqa: BLE001 - one failed fit must not abort the sweep
         return BlockResult(*key, status="failed", reason="%s: %s" % (type(exc).__name__, exc)), None
     f1 = f1_scores(cm)
-    return BlockResult(*key, cvcf=report.cvcf, imbalance_ratio=report.imbalance_ratio, necd=report.necd,
-                       accuracy=accuracy(cm), macro_f1=f1.macro, weighted_f1=f1.weighted, train_seconds=seconds,
-                       n_train=train.n_samples), model
+    return BlockResult(*key, **asdict(report), accuracy=accuracy(cm), macro_f1=f1.macro, weighted_f1=f1.weighted,
+                       train_seconds=seconds, n_train=train.n_samples), model
 
 
 def fit_block(data: Dataset, family: str, strategy: str, filter_threshold: int, seed: int, target: str = "label",
@@ -390,7 +388,7 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
 # the per-run scores a summary averages, each with a SummaryRow "<metric>_mean" and "<metric>_std" field
 METRICS = tuple(f[:-len("_mean")] for f in SummaryRow.__dataclass_fields__ if f.endswith("_mean"))
 # the block descriptors a summary averages without a spread
-_BLOCK_MEANS = ("cvcf", "imbalance_ratio", "necd", "n_train")
+_BLOCK_MEANS = (*ImbalanceReport.__dataclass_fields__, "n_train")
 
 
 def _mean_field(metric: str) -> str:
@@ -402,7 +400,8 @@ def _mean_field(metric: str) -> str:
 def summarize(results) -> list:
     """Mean/std (population) per (classifier, target, threshold) over the
     ok runs; skipped runs are counted in ``n_skipped`` and failed ones in
-    ``n_failed``, and neither enters the statistics.
+    ``n_failed``, and neither enters the statistics.  A group with no ok run
+    keeps its row, with ``n_runs`` 0 and NaN statistics.
 
     The ok rows are sorted by group, keeping their order within a group, and
     the groups with R ok rows are reduced together as one (groups, R) array
@@ -423,7 +422,7 @@ def summarize(results) -> list:
     stats: dict = {}  # column -> per-group (mean, std)
     for name in METRICS + _BLOCK_MEANS:
         column = np.array([getattr(results[i], name) for i in ok_rows.tolist()])
-        means, stds = np.zeros(len(key_ids)), np.zeros(len(key_ids))
+        means, stds = np.full(len(key_ids), np.nan), np.full(len(key_ids), np.nan)
         for size in np.unique(n_ok[n_ok > 0]).tolist():
             groups = np.flatnonzero(n_ok == size)
             values = column[starts[groups][:, None] + np.arange(size)]
@@ -431,8 +430,6 @@ def summarize(results) -> list:
         stats[name] = means.tolist(), stds.tolist()
     rows = []
     for (target, threshold, cid), g in sorted(key_ids.items()):
-        if not n_ok[g]:
-            continue
         means = {name: stats[name][0][g] for name in _BLOCK_MEANS}
         scores = {}
         for metric in METRICS:
@@ -446,31 +443,32 @@ def summarize(results) -> list:
 # persistence
 # ---------------------------------------------------------------------------
 
-# a results row: the block's key and status, its float scores, then n_train
-_KEY_FIELDS = ("classifier", "target", "filter_threshold", "seed", "status", "reason")
-_FLOAT_FIELDS = ("cvcf", "imbalance_ratio", "necd", "accuracy", "macro_f1", "weighted_f1", "train_seconds")
-_RESULT_FIELDS = _KEY_FIELDS + _FLOAT_FIELDS + ("n_train",)
+# a results row's columns: BlockResult's fields, in order
+_RESULT_FIELDS = tuple(BlockResult.__dataclass_fields__)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
+def _write_table(path, header, rows) -> None:
+    """A CSV of ``header``, then each row's attributes of those names:
+    floats with 17 significant digits, so that reading them back gives the
+    same float bit for bit, every other value as the csv module writes it."""
+    cells = operator.attrgetter(*header)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_FLOAT_FMT % v if isinstance(v, float) else v for v in cells(r)] for r in rows)
 
 
 def write_results(results, path) -> None:
-    """Raw per-run rows as CSV; floats carry 17 significant digits so the
-    read side reproduces them bit-for-bit."""
-    key, scores = operator.attrgetter(*_KEY_FIELDS), operator.attrgetter(*_FLOAT_FIELDS)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_RESULT_FIELDS)
-        writer.writerows((*key(r), *map(_FLOAT_FMT.__mod__, scores(r)), r.n_train) for r in results)
+    """Raw per-run rows as CSV, one column per ``BlockResult`` field; the
+    read side reproduces every row bit-for-bit."""
+    _write_table(path, _RESULT_FIELDS, results)
 
 
 def read_results(path) -> list:
-    """Rows written by ``write_results``; a row whose field count differs
-    from the header's is rejected with its 1-based row number."""
+    """Rows written by ``write_results``, each cell parsed with its field's
+    declared type; a row whose field count differs from the header's is
+    rejected with its 1-based row number."""
+    types = tuple(typing.get_type_hints(BlockResult).values())
     n_fields = len(_RESULT_FIELDS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -484,55 +482,45 @@ def read_results(path) -> list:
             if len(row) != n_fields:
                 raise ValueError("malformed row %d in %s: expected %d fields, got %d"
                                  % (rownum, path, n_fields, len(row)))
-            classifier, target, threshold, seed, status, reason, *scores, n_train = row
-            rows.append(BlockResult(classifier, target, int(threshold), int(seed), status, reason,
-                                    *map(float, scores), int(n_train)))
+            rows.append(BlockResult(*[parse(cell) for parse, cell in zip(types, row)]))
     return rows
 
 
 def write_summary(rows, path) -> None:
-    fields = [f for f in SummaryRow.__dataclass_fields__]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for r in rows:
-            writer.writerow([_format_cell(getattr(r, f)) for f in fields])
+    _write_table(path, tuple(SummaryRow.__dataclass_fields__), rows)
 
 
 def write_degradation(rows, path, metric: str = "weighted_f1") -> None:
     """Degradation-curve table: the chosen metric against each imbalance
     measure, one row per (classifier, block)."""
     mean_field = _mean_field(metric)
-    std_field = metric + "_std"
-    header = ["classifier", "target", "filter_threshold", "cvcf", "imbalance_ratio", "necd",
-              "n_train", mean_field, std_field]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in sorted(rows, key=lambda r: (r.classifier, r.target, r.filter_threshold)):
-            writer.writerow([_format_cell(getattr(r, f)) for f in header])
+    header = ("classifier", "target", "filter_threshold", *_BLOCK_MEANS, mean_field, metric + "_std")
+    _write_table(path, header, sorted(rows, key=lambda r: (r.classifier, r.target, r.filter_threshold)))
 
 
 def block_matrix(summaries, metric: str = "weighted_f1") -> BlockMatrix:
     """Pivot summary rows to a (blocks x classifiers) matrix of means.
 
-    Every classifier must cover every block; holes name the offenders.
+    Every classifier must have ok runs in every block; each hole is named,
+    a group with no ok run with its skipped and failed counts.  A block in
+    which no classifier has an ok run, such as a threshold whose every slice
+    was skipped, is left out.
     """
     mean_field = _mean_field(metric)
-    classifiers = sorted({r.classifier for r in summaries})
-    blocks = sorted({(r.target, r.filter_threshold) for r in summaries})
-    index = {}
-    for r in summaries:
-        index[((r.target, r.filter_threshold), r.classifier)] = getattr(r, mean_field)
-    missing = [
-        "%s@%s for %s" % (b[0], b[1], c)
-        for b in blocks
-        for c in classifiers
-        if (b, c) not in index
-    ]
-    if missing:
-        raise ValueError("incomplete block table; missing: %s" % "; ".join(missing[:10]))
-    values = np.array([[index[(b, c)] for c in classifiers] for b in blocks])
+    index = {((r.target, r.filter_threshold), r.classifier): r for r in summaries}
+    classifiers = sorted({c for _, c in index})
+    blocks = sorted({b for (b, _), r in index.items() if r.n_runs})
+    holes = []
+    for b in blocks:
+        for c in classifiers:
+            r = index.get((b, c))
+            if r is None:
+                holes.append("%s@%s for %s" % (*b, c))
+            elif not r.n_runs:
+                holes.append("%s@%s for %s (no ok run: %d skipped, %d failed)" % (*b, c, r.n_skipped, r.n_failed))
+    if holes:
+        raise ValueError("incomplete block table; missing: %s" % "; ".join(holes))
+    values = np.array([[getattr(index[(b, c)], mean_field) for c in classifiers] for b in blocks])
     return BlockMatrix(
         values=values,
         treatments=tuple(classifiers),

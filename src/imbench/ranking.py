@@ -165,8 +165,6 @@ def wilcoxon_signed_rank(a, b) -> tuple:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(counts**3 - counts)) / 48.0
-    if var <= 0:
-        return w, 1.0
     z = (w - mean + 0.5) / np.sqrt(var)  # continuity correction toward the mean
     from scipy.special import ndtr  # deferred: scipy loads on the first p-value, not on import
 

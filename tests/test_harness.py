@@ -603,13 +603,29 @@ class TestRunSweep:
         assert keys == sorted(keys)
 
     def test_skipped_rows_keep_their_reason(self):
-        config = small_config(filter_thresholds=(1, 200))
+        config = small_config(filter_thresholds=(1, 60, 200), strategies=("none", "inverse"))
         results, summaries = run_sweep(config)
         skipped = [r for r in results if r.status == "skipped"]
         assert skipped and all(r.filter_threshold == 200 for r in skipped)
         assert all("degenerate" in r.reason for r in skipped)
-        # groups with no ok runs produce no summary row
-        assert {s.filter_threshold for s in summaries} == {1}
+        # a group with no ok run keeps its row, and a block no classifier ran in stays out of the matrix
+        empty = [s for s in summaries if s.filter_threshold == 200]
+        assert [(s.n_runs, s.n_skipped, s.n_failed) for s in empty] == [(0, 1, 0)] * 2
+        assert all(math.isnan(s.weighted_f1_mean) and math.isnan(s.n_train) for s in empty)
+        assert block_matrix(summaries).blocks == ("label@1", "label@60")
+
+    @pytest.mark.parametrize("counts", [(100, 3), (100, 30, 3)])
+    def test_a_class_missing_from_the_training_split_is_a_skipped_row(self, counts):
+        """A 10% training split holds none of a 3-row class; with two classes
+        only one is left, and that too is a skipped row, not an error that
+        stops the sweep."""
+        synth = SynthConfig(n_samples=sum(counts), n_classes=len(counts), n_features=3, class_counts=counts)
+        config = small_config(synth=synth, fractions=(0.1, 0.45, 0.45))
+        reason = "a class is missing from the training split"
+        results, _ = run_sweep(config)
+        assert [(r.status, r.reason) for r in results] == [("skipped", reason)]
+        r = fit_block(harness.load_dataset(config), "dt", "none", 1, seed=0, fractions=config.fractions)[0]
+        assert (r.status, r.reason) == ("skipped", reason)
 
     def test_auto_threshold_ladder(self):
         config = small_config(
@@ -638,7 +654,8 @@ class TestRunSweep:
             ("off_by_one+none", 0, "failed", "ValueError: labels out of range for 3 classes"),
             ("off_by_one+none", 1, "failed", "ValueError: labels out of range for 3 classes"),
         ]
-        assert [s.classifier for s in summaries] == ["dt+none"]
+        assert [(s.classifier, s.n_runs, s.n_failed) for s in summaries] == [
+            ("dt+none", 2, 0), ("off_by_one+none", 0, 2)]
 
     def test_registered_families_reach_spawned_workers(self, monkeypatch):
         """A spawned worker imports only the built-in families; the sweep
@@ -950,6 +967,20 @@ class TestSummarize:
         with pytest.raises(ValueError, match="incomplete"):
             block_matrix(summaries[:-1])
 
+    def test_a_group_with_no_ok_run_keeps_its_row(self):
+        rows = [BlockResult("dt+none", "label", 1, 0, cvcf=0.5, imbalance_ratio=2.0, necd=0.9, accuracy=0.8,
+                            macro_f1=0.7, weighted_f1=0.75, train_seconds=0.1, n_train=10),
+                BlockResult("rf+none", "label", 1, 0, status="failed", reason="ValueError: no"),
+                BlockResult("gbt+none", "label", 1, 0, status="skipped", reason="degenerate")]
+        summaries = summarize(rows)
+        assert [(s.classifier, s.n_runs, s.n_skipped, s.n_failed) for s in summaries] == [
+            ("dt+none", 1, 0, 0), ("gbt+none", 0, 1, 0), ("rf+none", 0, 0, 1)]
+        for s in summaries[1:]:
+            assert all(math.isnan(v) for v in astuple(s)[6:])  # every statistic after the six key and count fields
+        with pytest.raises(ValueError, match=r"label@1 for gbt\+none \(no ok run: 1 skipped, 0 failed\); "
+                                             r"label@1 for rf\+none \(no ok run: 0 skipped, 1 failed\)"):
+            block_matrix(summaries)
+
     def test_block_matrix_unknown_metric(self):
         _, summaries = self.sweep()
         with pytest.raises(ValueError, match="metric"):
@@ -957,20 +988,21 @@ class TestSummarize:
 
 
 def summarize_oracle(results):
-    """``summarize`` as per-group numpy calls over each group's ok rows: the reference."""
+    """``summarize`` as per-group numpy calls over each group's ok rows, NaN for a group with none: the reference."""
     groups: dict = {}
     for r in results:
         groups.setdefault((r.target, r.filter_threshold, r.classifier), []).append(r)
     rows = []
     for (target, threshold, cid), rs in sorted(groups.items()):
         ok = [r for r in rs if r.status == "ok"]
-        if not ok:
-            continue
+        nan = float("nan")
         scores = {}
         for metric in harness.METRICS:
             vals = np.array([getattr(r, metric) for r in ok])
-            scores[metric + "_mean"], scores[metric + "_std"] = float(vals.mean()), float(vals.std())
-        means = {name: float(np.mean([getattr(r, name) for r in ok])) for name in harness._BLOCK_MEANS}
+            mean_std = (float(vals.mean()), float(vals.std())) if ok else (nan, nan)
+            scores[metric + "_mean"], scores[metric + "_std"] = mean_std
+        means = {name: float(np.mean([getattr(r, name) for r in ok])) if ok else nan
+                 for name in harness._BLOCK_MEANS}
         n_skipped = sum(1 for r in rs if r.status == "skipped")
         n_failed = sum(1 for r in rs if r.status == "failed")
         rows.append(harness.SummaryRow(cid, target, threshold, len(ok), n_skipped, n_failed, **means, **scores))

@@ -1,6 +1,7 @@
 """Friedman / Wilcoxon / Holm pipeline and the critical-difference diagram."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -265,6 +266,16 @@ class TestRendering:
     def test_one_bar_per_multi_member_clique(self):
         svg = render_cd(self.analysis())
         assert svg.count('stroke-width="4"') == 1
+
+    @pytest.mark.parametrize("cliques, shared", [((("A", "B"), ("C", "D")), True),
+                                                 ((("A", "B", "C"), ("B", "C", "D")), False)])
+    def test_disjoint_clique_bars_share_a_level(self, cliques, shared):
+        from dataclasses import replace
+
+        base = rank_analysis(matrix_of(np.random.default_rng(2).normal(size=(6, 4)), names=("A", "B", "C", "D")))
+        analysis = replace(base, avg_ranks=np.array([1.0, 1.5, 3.5, 4.0]), cliques=cliques)
+        bar_ys = re.findall(r'y1="(\d+)" x2="[^"]*" y2="\d+" stroke="black" stroke-width="4"', render_cd(analysis))
+        assert len(bar_ys) == 2 and (bar_ys[0] == bar_ys[1]) == shared
 
     def test_labels_include_names_and_ranks(self):
         svg = render_cd(self.analysis())

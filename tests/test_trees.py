@@ -108,6 +108,14 @@ class TestDecisionTree:
         model = dt_fit(x, y, np.ones(2), params=TreeParams(max_depth=2, criterion="entropy"))
         assert np.mean(model.predict(x) == y) == 1.0
 
+    def test_a_zero_weight_class_has_no_mass(self, rng):
+        x = rng.normal(size=(40, 3))
+        y = np.repeat([0, 1], 20)
+        model = dt_fit(x, y, np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(model.predict_proba(rng.normal(size=(50, 3))), np.tile([0.0, 1.0], (50, 1)))
+        with pytest.raises(ValueError, match="zero total class weight"):
+            dt_fit(x, y, np.array([0.0, 0.0]))
+
     def test_param_validation(self):
         with pytest.raises(ValueError):
             TreeParams(max_depth=0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from imbench import (
     STRATEGIES,
+    LabelDistribution,
     class_frequencies,
     compute_weights,
     weights_effective,
@@ -131,6 +132,11 @@ class TestComputeWeights:
             compute_weights(d, "effective", beta=0.99).weights,
             weights_effective(d, beta=0.99).weights,
         )
+
+    @pytest.mark.parametrize("weights", [weights_inverse, weights_effective, weights_median])
+    def test_zero_count_class_rejected(self, weights):
+        with pytest.raises(ValueError, match="undefined for zero-count classes"):
+            weights(LabelDistribution(np.array([5, 0])))
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
