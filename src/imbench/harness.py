@@ -10,7 +10,8 @@ and accuracy plus macro and weighted F1 on the test split.
 A sweep prepares each (target, threshold, seed) slice once, as a value that
 carries its key, runs every block of the slice on it (``run_block``) and
 collects the rows from one stream of finished slices; ``fit_block`` runs one
-block from the data.
+block from the data.  A tuned sweep runs one search per family in each
+slice, on its training split, for that slice's blocks alone.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class BlockResult:
     target: str
     filter_threshold: int
     seed: int
-    status: str = "ok"          # "ok" | "skipped" | "failed" (fit or predict raised)
+    status: str = "ok"          # one of _STATUSES; "failed": the search, fit or predict raised
     reason: str = ""
     cvcf: float = float("nan")
     imbalance_ratio: float = float("nan")
@@ -183,6 +184,8 @@ class BlockResult:
     train_seconds: float = float("nan")
     n_train: int = 0
 
+
+_STATUSES = ("ok", "skipped", "failed")
 
 # a sweep worker's dataset, set once by the pool initializer
 _worker_data = None
@@ -277,31 +280,6 @@ class SummaryRow:
     train_seconds_std: float
 
 
-def _resolve_params(config: ExperimentConfig, data: Dataset) -> dict:
-    """Per-(family, threshold) params: the registry defaults, then the HPO
-    winner's sampled values when ``config.hpo`` is set, then the family's
-    ``model_params``, which each search holds fixed in every fold fit and
-    so tunes only the keys they leave open.  Each search runs on the
-    training split of the threshold's first-seed slice, the one its blocks
-    use; a slice that would be skipped raises."""
-    out = {(family, threshold): family_params(family, config.model_params.get(family))
-           for family in config.families for threshold in config.filter_thresholds}
-    if config.hpo is None:
-        return out
-    thresholds = config.filter_thresholds if config.hpo.per_threshold else config.filter_thresholds[:1]
-    for threshold in thresholds:
-        prepared = _slice(data, config.target, threshold, config.base_seed, config.fractions)
-        for family in config.families:
-            if prepared.skipped is not None:
-                raise ValueError("cannot tune family %r at threshold %d: %s" % (family, threshold, prepared.skipped))
-            spec = replace(config.hpo, overrides=config.model_params.get(family, {}))
-            result = hpo_random_search(family, prepared.train.features, prepared.train.labels, spec=spec,
-                                       beta=config.beta, n_classes=prepared.dist.n_classes)
-            for t in ([threshold] if config.hpo.per_threshold else config.filter_thresholds):
-                out[(family, t)] = {**out[(family, t)], **result.best_params}
-    return out
-
-
 def _install_worker(specs, data: Dataset) -> None:
     """Pool initializer: register the sweep's families and keep its data, so
     each worker receives the dataset once rather than with every task."""
@@ -310,13 +288,27 @@ def _install_worker(specs, data: Dataset) -> None:
     _worker_data = data
 
 
-def _run_slice(data: Dataset, target: str, threshold: int, seed: int, blocks, fractions, beta: float) -> list:
+def _run_slice(data: Dataset, target: str, threshold: int, seed: int, blocks, fractions, beta: float,
+               searches) -> list:
     """The rows of one slice: it is prepared once and each (family, strategy,
-    params) in ``blocks`` is one ``run_block`` on it.  Its training table is
-    read-only, so the dt and gbt fits share one presort of it, which is
-    freed with the slice when this returns."""
+    params) in ``blocks`` is one ``run_block`` on it, in a tuned sweep with
+    the params updated by the winner of the family's search in ``searches``
+    on the training split; a search that raises fails the family's blocks
+    (reason ``"search: <ExcType>: <message>"``).  The dt and gbt fits share
+    one presort of the read-only training table, freed with the slice."""
     prepared = _slice(data, target, threshold, seed, fractions)
-    return [run_block(prepared, family, strategy, params, beta)[0] for family, strategy, params in blocks]
+    tuned, failed = {}, {}  # family -> the winner's params, or the reason its search failed
+    if searches is not None and prepared.skipped is None:
+        for family in dict.fromkeys(family for family, _, _ in blocks):
+            try:
+                tuned[family] = hpo_random_search(family, prepared.train.features, prepared.train.labels,
+                                                  spec=searches[family], beta=beta,
+                                                  n_classes=prepared.dist.n_classes).best_params
+            except Exception as exc:  # noqa: BLE001 - a failed search fails its family's blocks, not the sweep
+                failed[family] = "search: %s: %s" % (type(exc).__name__, exc)
+    return [run_block(prepared, family, strategy, {**params, **tuned.get(family, {})}, beta)[0] if family not in failed
+            else BlockResult(classifier_id(family, strategy), target, threshold, seed, "failed", failed[family])
+            for family, strategy, params in blocks]
 
 
 def _run_slice_task(task) -> list:
@@ -334,10 +326,12 @@ def _check_picklable(specs) -> None:
                              % spec.name) from exc
 
 
-def _finished_slices(config: ExperimentConfig, data: Dataset, params: dict):
+def _finished_slices(config: ExperimentConfig, data: Dataset):
     """Yield each task's rows as it finishes.  A task is the blocks of one
-    (threshold, seed) slice, dealt into ceil(workers / slices) tasks when
-    slices are fewer than workers.  With ``workers > 1`` processes run the
+    (threshold, seed) slice and, in a tuned sweep, each family's search with
+    its ``model_params`` as ``overrides``; it is dealt into ceil(workers /
+    slices) tasks when slices are fewer than workers, each then running the
+    same searches.  With ``workers > 1`` processes run the
     tasks; each first registers the config's families and receives the data
     once, so any start method works and every family spec must pickle.
     At most ``workers`` tasks are submitted at a time, one more as each
@@ -347,10 +341,13 @@ def _finished_slices(config: ExperimentConfig, data: Dataset, params: dict):
     slices = [(threshold, config.base_seed + run)
               for threshold in config.filter_thresholds for run in range(config.n_runs)]
     blocks = [(family, strategy) for strategy in config.strategies for family in config.families]
+    params = {family: family_params(family, config.model_params.get(family)) for family in config.families}
+    searches = None if config.hpo is None else {
+        family: replace(config.hpo, overrides=config.model_params.get(family, {})) for family in config.families}
     parts = min(len(blocks), -(-config.workers // max(1, len(slices))))  # ceil(workers / slices)
     tasks = [(target, threshold, seed,
-              [(family, strategy, params[(family, threshold)]) for family, strategy in blocks[part::parts]],
-              config.fractions, config.beta)
+              [(family, strategy, params[family]) for family, strategy in blocks[part::parts]],
+              config.fractions, config.beta, searches)
              for threshold, seed in slices for part in range(parts)]
     if config.workers == 1:
         yield from (_run_slice(data, *task) for task in tasks)
@@ -379,8 +376,7 @@ def run_sweep(config: ExperimentConfig, data: Dataset | None = None) -> tuple:
     if config.filter_thresholds is None:
         ladder = default_threshold_ladder(class_frequencies(data.labels).counts)
         config = replace(config, filter_thresholds=ladder)
-    params = _resolve_params(config, data)
-    results = [r for rows in _finished_slices(config, data, params) for r in rows]
+    results = [r for rows in _finished_slices(config, data) for r in rows]
     results.sort(key=lambda r: (r.target, r.filter_threshold, r.classifier, r.seed))
     return results, summarize(results)
 
@@ -466,8 +462,9 @@ def write_results(results, path) -> None:
 
 def read_results(path) -> list:
     """Rows written by ``write_results``, each cell parsed with its field's
-    declared type; a row whose field count differs from the header's is
-    rejected with its 1-based row number."""
+    declared type; a row whose field count differs from the header's, or
+    whose status is not ok, skipped or failed, is rejected with its 1-based
+    row number."""
     types = tuple(typing.get_type_hints(BlockResult).values())
     n_fields = len(_RESULT_FIELDS)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -483,6 +480,8 @@ def read_results(path) -> list:
                 raise ValueError("malformed row %d in %s: expected %d fields, got %d"
                                  % (rownum, path, n_fields, len(row)))
             rows.append(BlockResult(*[parse(cell) for parse, cell in zip(types, row)]))
+            if rows[-1].status not in _STATUSES:
+                raise ValueError("malformed row %d in %s: unknown status %r" % (rownum, path, rows[-1].status))
     return rows
 
 
@@ -502,14 +501,14 @@ def block_matrix(summaries, metric: str = "weighted_f1") -> BlockMatrix:
     """Pivot summary rows to a (blocks x classifiers) matrix of means.
 
     Every classifier must have ok runs in every block; each hole is named,
-    a group with no ok run with its skipped and failed counts.  A block in
-    which no classifier has an ok run, such as a threshold whose every slice
-    was skipped, is left out.
+    a group with no ok run with its skipped and failed counts.  Only a block
+    whose every run was skipped, such as a threshold whose every slice was
+    skipped, is left out; one whose runs all failed is a hole.
     """
     mean_field = _mean_field(metric)
     index = {((r.target, r.filter_threshold), r.classifier): r for r in summaries}
     classifiers = sorted({c for _, c in index})
-    blocks = sorted({b for (b, _), r in index.items() if r.n_runs})
+    blocks = sorted({b for (b, _), r in index.items() if r.n_runs or r.n_failed})
     holes = []
     for b in blocks:
         for c in classifiers:

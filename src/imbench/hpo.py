@@ -223,10 +223,9 @@ class HpoSpec:
     # fields fixed after sampling, e.g. {"max_epochs": 40} for tabresnet; a sweep sets a family's model_params here
     overrides: dict = field(default_factory=dict)
     strategy: str = "none"        # the class weighting of every fold fit
-    per_threshold: bool = False   # in a sweep: one search per threshold, not one on the first
 
     def __post_init__(self):
-        _settings(self, ("per_threshold",), n_trials=1, cv_folds=2, seed=0)
+        _settings(self, n_trials=1, cv_folds=2, seed=0)
         if self.strategy not in STRATEGIES:
             raise ValueError("strategy must be one of %s, got %r" % (STRATEGIES, self.strategy))
 

@@ -1,5 +1,8 @@
 """Shared fixtures/helpers for the test suite."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,20 @@ def make_blobs(n_samples, n_classes, n_features, separation, seed, counts=None, 
         seed=seed,
     )
     return synth_generate(cfg)
+
+
+def rows_match(a, b, ignore=("train_seconds",)):
+    """Whether two result rows agree on every field but those in ``ignore``, NaN matching NaN."""
+    da, db = asdict(a), asdict(b)
+    for key in da:
+        if key in ignore:
+            continue
+        va, vb = da[key], db[key]
+        if isinstance(va, float) and math.isnan(va) and isinstance(vb, float) and math.isnan(vb):
+            continue
+        if va != vb:
+            return False
+    return True
 
 
 @pytest.fixture

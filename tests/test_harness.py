@@ -53,7 +53,7 @@ from imbench import harness, hpo, trees
 from imbench.cli import main
 from imbench.hpo import DEFAULT_FAMILIES, HpoResult
 from imbench.weighting import STRATEGIES
-from tests.conftest import make_blobs
+from tests.conftest import make_blobs, rows_match
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -102,8 +102,8 @@ _FITS = []
 
 
 def recording_fit(x, y, weights, params, n_classes, seed, x_val=None, y_val=None):
-    """Records the training size and the HPO tag each fit receives."""
-    _FITS.append((len(y), params.get("tag")))
+    """Records the training table's bytes and the params each fit receives."""
+    _FITS.append((np.asarray(x).tobytes(), dict(params)))
     return majority_fit(x, y, weights, params, n_classes, seed)
 
 
@@ -148,19 +148,6 @@ class _InlinePool:
 
     def shutdown(self, **kwargs):
         _InlinePool.shutdowns.append(kwargs)
-
-
-def rows_match(a, b, ignore=("train_seconds",)):
-    da, db = asdict(a), asdict(b)
-    for key in da:
-        if key in ignore:
-            continue
-        va, vb = da[key], db[key]
-        if isinstance(va, float) and math.isnan(va) and isinstance(vb, float) and math.isnan(vb):
-            continue
-        if va != vb:
-            return False
-    return True
 
 
 def small_config(**overrides):
@@ -297,9 +284,8 @@ class TestExperimentConfig:
         assert load_experiment_config(p) == ExperimentConfig(synth=SynthConfig(**synth))
         p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {}}), encoding="utf-8")
         assert load_experiment_config(p).hpo == HpoSpec()
-        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"strategy": "median", "per_threshold": True}}),
-                     encoding="utf-8")
-        assert load_experiment_config(p).hpo == HpoSpec(strategy="median", per_threshold=True)
+        p.write_text(json.dumps({"dataset": {"synth": synth}, "hpo": {"strategy": "median"}}), encoding="utf-8")
+        assert load_experiment_config(p).hpo == HpoSpec(strategy="median")
 
     @pytest.mark.parametrize("where, key", [
         ((), "n_run"),
@@ -309,6 +295,7 @@ class TestExperimentConfig:
         ((), "target"),
         ((), "hpo_strategy"),
         (("model_params",), "rff"),  # a family not in "families"
+        (("hpo",), "per_threshold"),  # a sweep searches in every slice, so there is no choice to make
     ])
     def test_unknown_key_is_named(self, tmp_path, where, key):
         obj = {"dataset": {"synth": {"n_samples": 100, "n_classes": 2, "n_features": 2, "class_counts": [70, 30]}},
@@ -380,7 +367,7 @@ class TestExperimentConfig:
         assert not out.exists() and searches == []
 
     @pytest.mark.parametrize("section, message", [
-        ({"n_trials": 0, "strategy": "median", "per_threshold": True, "overrides": {"max_dept": 2}},
+        ({"n_trials": 0, "strategy": "median", "overrides": {"max_dept": 2}},
          "n_trials must be >= 1"),
         ({"enabled": True, "n_trials": 2}, "unknown key 'enabled' in hpo"),
         ({"n_trials": 2, "strategy": "oversample"}, "strategy must be one of"),
@@ -422,8 +409,7 @@ class TestExperimentConfig:
         families = tuple(data.draw(st.lists(st.sampled_from(DEFAULT_FAMILIES), min_size=1,
                                             unique=True)))
         hpo_spec = st.builds(HpoSpec, n_trials=st.integers(1, 50), cv_folds=st.integers(2, 10),
-                             seed=st.integers(0, 2 ** 32 - 1), strategy=st.sampled_from(STRATEGIES),
-                             per_threshold=st.booleans())
+                             seed=st.integers(0, 2 ** 32 - 1), strategy=st.sampled_from(STRATEGIES))
         config = ExperimentConfig(
             **source,
             filter_thresholds=data.draw(st.one_of(st.none(), st.sets(st.integers(1, 1000), min_size=1).map(sorted))),
@@ -793,7 +779,7 @@ class TestRunSweep:
                               filter_thresholds=thresholds, n_runs=n_runs, workers=workers)
         register_family("majority", majority_fit, {})
         data = harness.load_dataset(config)
-        items = list(harness._finished_slices(config, data, harness._resolve_params(config, data)))
+        items = list(harness._finished_slices(config, data))
         assert len(items) == n_tasks[workers - 1]
         assert all(len({(r.target, r.filter_threshold, r.seed) for r in rows}) == 1 for rows in items)
         assert sorted((r.filter_threshold, r.seed, r.classifier) for rows in items for r in rows) == sorted(
@@ -808,8 +794,7 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "_worker_data", None)
         config = small_config(n_runs=4, workers=2)
         data = harness.load_dataset(config)
-        params = harness._resolve_params(config, data)
-        stream = harness._finished_slices(config, data, params)
+        stream = harness._finished_slices(config, data)
         assert len(next(stream)) == 1
         assert _InlinePool.shutdowns == []
         stream.close()
@@ -820,7 +805,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "_run_slice", broken)
         with pytest.raises(RuntimeError, match="task broke"):
-            list(harness._finished_slices(config, data, params))
+            list(harness._finished_slices(config, data))
         assert _InlinePool.shutdowns == [{"cancel_futures": True}]
 
     def test_closing_the_stream_leaves_at_most_one_round_of_tasks_to_run(self, tmp_path):
@@ -831,7 +816,7 @@ class TestRunSweep:
         config = small_config(families=("marking",), n_runs=20, workers=2,
                               model_params={"marking": {"dir": str(tmp_path)}})
         data = harness.load_dataset(config)
-        stream = harness._finished_slices(config, data, harness._resolve_params(config, data))
+        stream = harness._finished_slices(config, data)
         assert len(next(stream)) == 1
         stream.close()
         assert 1 <= len(os.listdir(tmp_path)) <= 2 * config.workers
@@ -844,26 +829,28 @@ class TestRunSweep:
         assert all(r.status == "ok" for r in results)
         assert len(summaries) == 1
 
-    @pytest.mark.parametrize("per_threshold", [False, True])
-    def test_hpo_winners_reach_their_blocks(self, monkeypatch, per_threshold):
-        """One search per family (on the first threshold) or per (family,
-        threshold), each on the training split of the threshold's first-seed
-        slice, and each winner reaches exactly the blocks it was searched for."""
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_hpo_winners_reach_their_blocks(self, monkeypatch, pooled):
+        """One search per (family, threshold, seed) slice, on that slice's
+        training split, and each winner reaches exactly that family's blocks
+        in that slice, whether the slices run here or as pool tasks."""
+        if pooled:
+            monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+            monkeypatch.setattr(harness, "_worker_data", None)
         searches = []
 
         def spy(family, x, y, spec, beta, n_classes):
             searches.append((family, x, y, n_classes, spec.strategy))
-            return HpoResult(family, {"tag": "%s@%d" % (family, len(y))}, 0.0, 0, [])
+            return HpoResult(family, {"tag": len(searches) - 1}, 0.0, 0, [])
 
         monkeypatch.setattr(harness, "hpo_random_search", spy)
-        register_family("rec_a", recording_fit, {})
-        register_family("rec_b", recording_fit, {})
+        register_family("rec_a", recording_fit, {"family": "rec_a"})
+        register_family("rec_b", recording_fit, {"family": "rec_b"})
         _FITS.clear()
         try:
-            # 250/100/50 rows: threshold 1 keeps 3 classes (240 train rows), 60 keeps 2 (210)
             config = small_config(families=("rec_a", "rec_b"), strategies=("none", "inverse"),
-                                  filter_thresholds=(1, 60), n_runs=2, base_seed=3,
-                                  hpo=HpoSpec(n_trials=2, cv_folds=2, strategy="median", per_threshold=per_threshold))
+                                  filter_thresholds=(1, 60), n_runs=2, base_seed=3, workers=2 if pooled else 1,
+                                  hpo=HpoSpec(n_trials=2, cv_folds=2, strategy="median"))
             data = harness.load_dataset(config)
             results, _ = run_sweep(config, data)
             fits = list(_FITS)
@@ -872,24 +859,26 @@ class TestRunSweep:
         trains = {}
         for threshold in (1, 60):
             filtered = filter_min_class_count(data, threshold)
-            trains[threshold] = filtered.subset(stratified_split(filtered, seed=3).train)
-        searched = (1, 60) if per_threshold else (1,)
-        expected = [(family, t) for t in searched for family in ("rec_a", "rec_b")]
+            for seed in (3, 4):
+                trains[(threshold, seed)] = filtered.subset(stratified_split(filtered, seed=seed).train)
+        expected = [(family, t, s) for t in (1, 60) for s in (3, 4) for family in ("rec_a", "rec_b")]
         assert len(searches) == len(expected)
-        for (family, x, y, n_classes, strategy), (want_family, t) in zip(searches, expected):
-            assert (family, n_classes, strategy) == (want_family, trains[t].n_classes, "median")
-            assert np.array_equal(x, trains[t].features) and np.array_equal(y, trains[t].labels)
+        for (family, x, y, n_classes, strategy), (want_family, t, s) in zip(searches, expected):
+            assert (family, n_classes, strategy) == (want_family, trains[(t, s)].n_classes, "median")
+            assert np.array_equal(x, trains[(t, s)].features) and np.array_equal(y, trains[(t, s)].labels)
         assert all(r.status == "ok" for r in results) and len(fits) == 2 * 2 * 2 * 2
-        for threshold, n_train in ((1, 240), (60, 210)):
-            source = trains[threshold if per_threshold else 1].n_samples
-            tags = sorted(tag for n, tag in fits if n == n_train)
-            assert tags == ["rec_a@%d" % source] * 4 + ["rec_b@%d" % source] * 4
+        assert not pooled or len(_InlinePool.tasks) == len(trains)  # one pool task per slice
+        # each winner reaches its family's two blocks (one per strategy) in its own slice, and no other
+        assert sorted(params["tag"] for _, params in fits) == sorted(list(range(len(expected))) * 2)
+        for x, params in fits:
+            family, t, s = expected[params["tag"]]
+            assert params["family"] == family and x == trains[(t, s)].features.tobytes()
 
     def test_model_params_hold_in_every_fold_fit_and_every_block(self, monkeypatch):
         """A family's ``model_params`` are fixed in each HPO fold fit and in
         each block, and the search tunes only the keys they leave open: a
-        block fits the registry defaults updated with the winning trial's
-        params, which carry the fixed values."""
+        block fits the registry defaults updated with its own slice's winning
+        trial's params, which carry the fixed values."""
         fits, searches = [], []
         fit, search = hpo.fit_family, harness.hpo_random_search
         monkeypatch.setattr(hpo, "fit_family", lambda family, x, y, weights, params, *args, **kwargs:
@@ -899,17 +888,25 @@ class TestRunSweep:
         config = small_config(families=("rf",), n_runs=2, model_params={"rf": {"bootstrap": False, "n_estimators": 2}},
                               hpo=HpoSpec(n_trials=3, cv_folds=2, seed=0))
         results, _ = run_sweep(config)
-        (result,) = searches
-        n_fold_fits = sum(len(t.fold_scores) for t in result.trials)
-        assert len(fits) == n_fold_fits + 2 and all(r.status == "ok" for r in results)
+        assert len(searches) == 2 and all(r.status == "ok" for r in results)
         assert all(params.get("bootstrap") is False and params["n_estimators"] == 2 for params in fits)
-        winner = {**get_family("rf").default_params, **result.trials[result.best_trial].params}
-        assert fits[n_fold_fits:] == [winner, winner]
+        n_fits = 0  # each slice in turn: its search's fold fits, then its block's fit
+        for result in searches:
+            n_fits += sum(len(t.fold_scores) for t in result.trials)
+            assert fits[n_fits] == {**get_family("rf").default_params, **result.trials[result.best_trial].params}
+            n_fits += 1
+        assert n_fits == len(fits)
 
-    def test_hpo_on_a_skipped_slice_names_family_and_threshold(self):
+    def test_a_skipped_slice_runs_no_search(self, monkeypatch):
+        """A tuned sweep's skipped slice gives the skipped rows an untuned
+        one gives, and no search runs on it."""
+        searches = []
+        monkeypatch.setattr(harness, "hpo_random_search", lambda family, *args, **kwargs: searches.append(family))
         config = small_config(filter_thresholds=(200,), hpo=HpoSpec(n_trials=2, cv_folds=2))
-        with pytest.raises(ValueError, match="family 'dt' at threshold 200: degenerate"):
-            run_sweep(config)
+        results, _ = run_sweep(config)
+        untuned, _ = run_sweep(ExperimentConfig(**{**asdict_config(config), "hpo": None}))
+        assert [(r.status, r.reason) for r in results] == [(r.status, r.reason) for r in untuned]
+        assert results[0].status == "skipped" and "degenerate" in results[0].reason and searches == []
 
     def test_csv_rows_name_the_schema_label_column(self, tmp_path):
         data = make_blobs(300, 3, 4, 2.5, seed=1, counts=[150, 100, 50])
@@ -980,6 +977,24 @@ class TestSummarize:
         with pytest.raises(ValueError, match=r"label@1 for gbt\+none \(no ok run: 1 skipped, 0 failed\); "
                                              r"label@1 for rf\+none \(no ok run: 0 skipped, 1 failed\)"):
             block_matrix(summaries)
+
+    def test_a_block_whose_runs_all_failed_is_a_hole(self):
+        """Only a block whose every run was skipped leaves the matrix; one in
+        which every classifier failed is named, each group with its counts."""
+        def row(cid, threshold, status="ok"):
+            if status != "ok":
+                return BlockResult(cid, "label", threshold, 0, status=status, reason="ValueError: no")
+            return BlockResult(cid, "label", threshold, 0, cvcf=0.5, imbalance_ratio=2.0, necd=0.9, accuracy=0.8,
+                               macro_f1=0.7, weighted_f1=0.75 if cid == "dt+none" else 0.6, train_seconds=0.1,
+                               n_train=10)
+
+        rows = [row(cid, threshold) for cid in ("dt+none", "rf+none") for threshold in (1, 10)]
+        skipped = [row(cid, 100, "skipped") for cid in ("dt+none", "rf+none")]
+        assert block_matrix(summarize(rows + skipped)).blocks == ("label@1", "label@10")
+        failed = [row(cid, 5, "failed") for cid in ("dt+none", "rf+none")]
+        with pytest.raises(ValueError, match=r"missing: label@5 for dt\+none \(no ok run: 0 skipped, 1 failed\); "
+                                             r"label@5 for rf\+none \(no ok run: 0 skipped, 1 failed\)$"):
+            block_matrix(summarize(rows + failed + skipped))
 
     def test_block_matrix_unknown_metric(self):
         _, summaries = self.sweep()
@@ -1092,6 +1107,15 @@ class TestPersistence:
         p = tmp_path / "short.csv"
         p.write_text("%s\n%s\n" % (header, row.rsplit(",", 1)[0]), encoding="utf-8")
         with pytest.raises(ValueError, match=r"row 2 in .*short\.csv: expected 14 fields, got 13"):
+            read_results(p)
+
+    def test_unknown_status_rejected(self, tmp_path):
+        """A status ``summarize`` would count nowhere is named with its row,
+        so a summary's counts always add up to its rows."""
+        p = tmp_path / "status.csv"
+        write_results([BlockResult("dt+none", "label", 1, 0, n_train=10),
+                       BlockResult("dt+none", "label", 1, 1, status="okay", n_train=10)], p)
+        with pytest.raises(ValueError, match=r"row 3 in .*status\.csv: unknown status 'okay'"):
             read_results(p)
 
     def test_summary_file(self, tmp_path):

@@ -222,10 +222,10 @@ class TestHpoSpec:
             HpoSpec(strategy="oversample")
 
     def test_new_fields_follow_overrides(self):
-        """``strategy`` and ``per_threshold`` come after ``overrides``, so
-        positional construction keeps its meaning."""
-        assert HpoSpec(3, 2, 1, {"max_depth": 2}, "median", True) == HpoSpec(
-            n_trials=3, cv_folds=2, seed=1, overrides={"max_depth": 2}, strategy="median", per_threshold=True)
+        """``strategy`` comes after ``overrides``, so positional construction
+        keeps its meaning."""
+        assert HpoSpec(3, 2, 1, {"max_depth": 2}, "median") == HpoSpec(
+            n_trials=3, cv_folds=2, seed=1, overrides={"max_depth": 2}, strategy="median")
 
 
 class TestRandomSearch:

@@ -19,8 +19,7 @@ SYNTH = SynthConfig(n_samples=10, n_classes=2, n_features=3, class_counts=(4, 6)
 SETTINGS = [
     (ExperimentConfig, dict(synth=SYNTH, filter_thresholds=(1, 5), n_runs=2, base_seed=3, workers=1),
      {"n_runs": 1, "base_seed": 0, "workers": 1}, {"filter_thresholds": 1}, ()),
-    (HpoSpec, dict(n_trials=3, cv_folds=2, seed=7, per_threshold=True),
-     {"n_trials": 1, "cv_folds": 2, "seed": 0}, {}, ("per_threshold",)),
+    (HpoSpec, dict(n_trials=3, cv_folds=2, seed=7), {"n_trials": 1, "cv_folds": 2, "seed": 0}, {}, ()),
     (SynthConfig, dict(n_samples=10, n_classes=2, n_features=3, class_counts=(4, 6), seed=1),
      {"n_samples": 1, "n_classes": 2, "n_features": 1, "seed": 0}, {"class_counts": 1}, ()),
     (TreeParams, dict(max_depth=4, min_samples_split=3, min_samples_leaf=2),
